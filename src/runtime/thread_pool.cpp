@@ -65,6 +65,10 @@ struct ThreadPool::Batch {
 };
 
 struct ThreadPool::State {
+  // Held by a submitter for its whole parallel forEach: one batch slot, so
+  // concurrent submitters (e.g. two participants of an outer pool sharing an
+  // inner one) take turns instead of overwriting each other's batch.
+  std::mutex submit;
   std::mutex mutex;
   std::condition_variable work;  // new batch published, or shutdown
   std::condition_variable done;  // a participant finished draining
@@ -142,6 +146,7 @@ void ThreadPool::forEachWorker(
     return;
   }
 
+  const std::lock_guard<std::mutex> submitLock(state_->submit);
   Batch batch;
   batch.count = count;
   batch.fn = &fn;

@@ -4,12 +4,15 @@
 #include <cstdint>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "dmf/errors.h"
+#include "obs/scope.h"
 
 namespace dmf::sched {
 
@@ -344,9 +347,9 @@ Schedule scheduleJustInTime(const TaskForest& forest, unsigned mixers) {
 
 namespace {
 
-/// Reusable workspace for tryStorageCapped: one SRS refinement scans dozens
-/// of (cap, window) attempts over the same forest, so every attempt bumps
-/// warm vectors instead of re-allocating its bookkeeping.
+/// Reusable workspace for tryStorageCapped: one SRS refinement runs one
+/// capped simulation per distinct admission budget over the same forest, so
+/// every run bumps warm vectors instead of re-allocating its bookkeeping.
 struct CappedScratch {
   std::vector<unsigned> pending;
   std::vector<std::vector<TaskId>> arrivals;
@@ -354,7 +357,21 @@ struct CappedScratch {
   std::vector<std::uint64_t> arrivalKeys;
   std::vector<std::uint64_t> merged;
   std::vector<TaskId> batch;
-  Schedule out;  // the attempt's result; copied out on adoption
+  Schedule out;  // the run's result; copied out on adoption
+  /// Peak droplets parked in one cycle (carried - consumedNow) over the run.
+  std::int64_t peak = 0;
+
+  /// The SRS refinement's memo: one entry per distinct admission budget
+  /// (cap + window in 64 bits, so no window wraps it) — at most six per
+  /// scanned cap, never sized by the mixer count. Only successful runs keep
+  /// a schedule, in `wins`.
+  struct Run {
+    static constexpr std::size_t kFailed = static_cast<std::size_t>(-1);
+    std::int64_t peak = 0;
+    std::size_t win = kFailed;  // index into wins
+  };
+  std::unordered_map<std::uint64_t, Run> runs;
+  std::vector<Schedule> wins;
 };
 
 CappedScratch& cappedScratch() {
@@ -362,18 +379,36 @@ CappedScratch& cappedScratch() {
   return scratch;
 }
 
-// One storage-capped attempt with a fixed production-lookahead window.
-// Fills `scratch.out` with a schedule respecting the cap and returns true,
-// or returns false when this window stalls. `jitCycles` is the cycle array
-// of a just-in-time schedule supplying the service order.
+/// The knobs of one storage-capped run.
+struct CappedLimits {
+  /// Admission budget: storage cap + production-lookahead window. It is the
+  /// only way the cap steers the simulation (the pass-1/pass-2 pressure
+  /// tests), so runs with equal budgets follow one trajectory.
+  std::int64_t admission = 0;
+  /// Fail once a cycle parks more droplets than this. The test changes no
+  /// state, so a run that passes it reports its peak and answers every
+  /// smaller cap sharing the admission budget.
+  std::int64_t storageCap = 0;
+  /// Give up once a task would start after this cycle: the caller rejects
+  /// any schedule completing later anyway.
+  unsigned deadline = std::numeric_limits<unsigned>::max();
+};
+
+// One storage-capped run with a fixed admission budget. Fills `scratch.out`
+// with a schedule whose every cycle parks at most `limits.storageCap`
+// droplets (their maximum in `scratch.peak`) and returns true, or returns
+// false when the run stalls, exceeds the cap or passes the deadline.
+// `jitCycles` is the cycle array of a just-in-time schedule supplying the
+// service order.
 bool tryStorageCapped(const TaskForest& forest, unsigned mixers,
-                      unsigned storageCap, unsigned window,
+                      const CappedLimits& limits,
                       const std::vector<unsigned>& jitCycles,
                       CappedScratch& scratch) {
   Schedule& s = scratch.out;
   s.mixerCount = mixers;
   s.scheme = "capped";
   s.completionTime = 0;
+  scratch.peak = 0;
   const std::size_t n = forest.taskCount();
   s.reset(n);
   if (n == 0) return true;
@@ -425,11 +460,11 @@ bool tryStorageCapped(const TaskForest& forest, unsigned mixers,
   // the test into always-true/always-false and admit cap-violating batches.
   // The invariant itself is checked at the end of every cycle.
   std::int64_t carried = 0;
-  const std::int64_t budget =
-      static_cast<std::int64_t>(storageCap) + window;
+  const std::int64_t budget = limits.admission;
   std::size_t remaining = n;
   std::vector<TaskId>& batch = scratch.batch;
   for (unsigned t = 1; remaining > 0; ++t) {
+    if (t > limits.deadline) return false;
     if (t < arrivals.size() && !arrivals[t].empty()) {
       arrivalKeys.clear();
       for (TaskId id : arrivals[t]) arrivalKeys.push_back(key(id));
@@ -500,9 +535,8 @@ bool tryStorageCapped(const TaskForest& forest, unsigned mixers,
           std::to_string(consumedNow) + " > " + std::to_string(carried) +
           ")");
     }
-    if (carried - consumedNow > static_cast<std::int64_t>(storageCap)) {
-      return false;
-    }
+    scratch.peak = std::max(scratch.peak, carried - consumedNow);
+    if (scratch.peak > limits.storageCap) return false;
 
     for (unsigned k = 0; k < batch.size(); ++k) {
       const TaskId id = batch[k];
@@ -530,7 +564,8 @@ bool tryStorageCapped(const TaskForest& forest, unsigned mixers,
 /// collide (e.g. mixers == 2 duplicates both 2 and 4); an identical window
 /// is an identical attempt, and adoption below is strictly-improving, so
 /// skipping duplicates cannot change which schedule wins — it only removes
-/// redundant work.
+/// redundant work. `2 * mixers` wraps for banks of 2^31 and more; the
+/// wrapped value is the window those banks have always been given.
 template <typename Fn>
 void forEachWindow(unsigned mixers, Fn fn) {
   const unsigned ladder[] = {0u, 1u, 2u, 3u, mixers, 2 * mixers};
@@ -559,13 +594,18 @@ Schedule scheduleStorageCapped(const TaskForest& forest, unsigned mixers,
   }
   // The production-lookahead window trades deadlock safety against mixer
   // utilization and no single value dominates, so a small deterministic
-  // ladder is tried and the fastest completing schedule wins.
+  // ladder is tried and the fastest completing schedule wins. Adoption is
+  // strictly improving, so once a schedule is held a run may give up as soon
+  // as it can no longer finish before it.
   const Schedule jit = scheduleJustInTime(forest, mixers);
   CappedScratch& scratch = cappedScratch();
   std::optional<Schedule> best;
   forEachWindow(mixers, [&](unsigned window) {
-    if (tryStorageCapped(forest, mixers, storageCap, window, jit.cycles,
-                         scratch) &&
+    CappedLimits limits;
+    limits.admission = static_cast<std::int64_t>(storageCap) + window;
+    limits.storageCap = storageCap;
+    if (best.has_value()) limits.deadline = best->completionTime - 1;
+    if (tryStorageCapped(forest, mixers, limits, jit.cycles, scratch) &&
         (!best.has_value() ||
          scratch.out.completionTime < best->completionTime)) {
       best = scratch.out;
@@ -591,6 +631,7 @@ Schedule scheduleSRS(const TaskForest& forest, unsigned mixers) {
   // The time budget: a bounded slowdown over the fastest candidate (the
   // paper reports SRS costs ~5% completion time on average).
   unsigned fastest = best.completionTime;
+  std::uint64_t adopted = 0;
   auto adopt = [&](Schedule candidate) {
     fastest = std::min(fastest, candidate.completionTime);
     const unsigned budget = fastest + std::max(3u, fastest / 4);
@@ -602,6 +643,7 @@ Schedule scheduleSRS(const TaskForest& forest, unsigned mixers) {
       candidate.scheme = "SRS";
       best = std::move(candidate);
       bestStorage = storage;
+      ++adopted;
     }
   };
 
@@ -612,25 +654,52 @@ Schedule scheduleSRS(const TaskForest& forest, unsigned mixers) {
 
   // Refinement: storage-capped scheduling seeded with the current best
   // schedule's order, scanning every cap below it (feasibility is not
-  // monotone in the cap, so no bisection).
-  const unsigned budget = fastest + std::max(3u, fastest / 4);
+  // monotone in the cap, so no bisection). Attempt (cap, window) succeeds
+  // exactly when the run with admission budget cap + window completes
+  // within the time budget parking at most `cap` droplets per cycle, so each
+  // budget is simulated once and every attempt is answered from its peak
+  // (DESIGN.md §15).
+  const unsigned timeBudget = fastest + std::max(3u, fastest / 4);
   const std::vector<unsigned> seedCycles = best.cycles;
+  const unsigned capsScanned = bestStorage;
   CappedScratch& scratch = cappedScratch();
-  for (unsigned cap = bestStorage; cap-- > 0;) {
-    std::optional<Schedule> candidate;
+  scratch.runs.clear();
+  scratch.wins.clear();
+  for (unsigned cap = capsScanned; cap-- > 0;) {
+    std::size_t candidate = CappedScratch::Run::kFailed;
     forEachWindow(mixers, [&](unsigned window) {
-      if (tryStorageCapped(forest, mixers, cap, window, seedCycles,
-                           scratch) &&
-          scratch.out.completionTime <= budget &&
-          (!candidate.has_value() ||
-           scratch.out.completionTime < candidate->completionTime)) {
-        candidate = scratch.out;
+      auto [it, fresh] = scratch.runs.try_emplace(std::uint64_t{cap} + window);
+      CappedScratch::Run& run = it->second;
+      if (fresh) {
+        // Caps are scanned downwards, so the first cap to ask for a budget
+        // is the largest that uses it: the run only fails above that cap.
+        CappedLimits limits;
+        limits.admission = static_cast<std::int64_t>(it->first);
+        limits.storageCap = cap;
+        limits.deadline = timeBudget;
+        if (tryStorageCapped(forest, mixers, limits, seedCycles, scratch)) {
+          run.peak = scratch.peak;
+          run.win = scratch.wins.size();
+          scratch.wins.push_back(scratch.out);
+        }
+      }
+      if (run.win == CappedScratch::Run::kFailed ||
+          run.peak > static_cast<std::int64_t>(cap)) {
+        return;
+      }
+      if (candidate == CappedScratch::Run::kFailed ||
+          scratch.wins[run.win].completionTime <
+              scratch.wins[candidate].completionTime) {
+        candidate = run.win;
       }
     });
-    if (candidate.has_value()) {
-      adopt(std::move(*candidate));
+    if (candidate != CappedScratch::Run::kFailed) {
+      adopt(scratch.wins[candidate]);
     }
   }
+  obs::count("sched.srs.capped_runs", scratch.runs.size());
+  obs::count("sched.srs.caps_scanned", capsScanned);
+  obs::count("sched.srs.candidates_adopted", adopted);
   return best;
 }
 
