@@ -357,6 +357,19 @@ int cmdPlan(const Args& args, const Ratio& ratio) {
   return 0;
 }
 
+/// The SRS refinement counters of the active obs session (DESIGN.md §15).
+report::Json srsRefinementJson() {
+  obs::MetricsRegistry* m = obs::metrics();
+  auto value = [m](const char* name) {
+    return m == nullptr ? std::uint64_t{0} : m->counter(name).value();
+  };
+  report::Json out = report::Json::object();
+  out.set("capsScanned", value("sched.srs.caps_scanned"))
+      .set("cappedRuns", value("sched.srs.capped_runs"))
+      .set("candidatesAdopted", value("sched.srs.candidates_adopted"));
+  return out;
+}
+
 int cmdStream(const Args& args, const Ratio& ratio) {
   engine::MdstEngine engine(ratio);
   journal::StreamRunRequest run;
@@ -391,6 +404,14 @@ int cmdStream(const Args& args, const Ratio& ratio) {
       args.getU64("snapshot-every", journalOptions.snapshotEvery));
   journalOptions.stopAfterPass = args.getU64("crash-after-pass", 0);
 
+  // --stats also reports the SRS refinement counters, which live in the obs
+  // registry: without a --trace/--metrics session, collect them in a
+  // metrics-only one.
+  obs::Session statsSession;
+  statsSession.traceEnabled = false;
+  std::optional<obs::Scope> statsScope;
+  if (args.has("stats") && !obs::enabled()) statsScope.emplace(statsSession);
+
   engine::PassCache cache;
   const journal::StreamRunResult result =
       journal::runStream(engine, run, cache, journalOptions);
@@ -418,6 +439,7 @@ int cmdStream(const Args& args, const Ratio& ratio) {
       // hit/miss split), so they only join the JSON on explicit request —
       // the default plan JSON is byte-identical for every --jobs.
       out.set("passCache", engine::toJson(cache.stats()));
+      out.set("srsRefinement", srsRefinementJson());
     }
     std::cout << out.dump(2);
     return 0;
@@ -489,6 +511,11 @@ int cmdStream(const Args& args, const Ratio& ratio) {
               << report::fixed(
                      static_cast<double>(stats.storageNanos) / 1e6, 2)
               << "\n";
+    const report::Json srs = srsRefinementJson();
+    std::cout << "srs refinement: " << srs.at("capsScanned").asUint()
+              << " caps scanned, " << srs.at("cappedRuns").asUint()
+              << " capped runs, " << srs.at("candidatesAdopted").asUint()
+              << " candidates adopted\n";
   }
   return 0;
 }
