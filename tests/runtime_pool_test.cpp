@@ -53,13 +53,18 @@ TEST(ThreadPool, NestedForEachOnSamePoolThrows) {
 TEST(ThreadPool, NestedForEachOnDifferentPoolsIsAllowed) {
   ThreadPool outer(2);
   ThreadPool inner(2);
-  std::atomic<int> total{0};
-  outer.forEach(8, [&](std::uint64_t) {
-    inner.forEach(8, [&](std::uint64_t) {
-      total.fetch_add(1, std::memory_order_relaxed);
+  // Both outer participants submit to `inner` at once; repeated rounds make
+  // the overlap near-certain, so submitters that overwrote each other's
+  // batch would hang here.
+  for (int round = 0; round < 200; ++round) {
+    std::atomic<int> total{0};
+    outer.forEach(8, [&](std::uint64_t) {
+      inner.forEach(8, [&](std::uint64_t) {
+        total.fetch_add(1, std::memory_order_relaxed);
+      });
     });
-  });
-  EXPECT_EQ(total.load(), 64);
+    ASSERT_EQ(total.load(), 64) << "round " << round;
+  }
 }
 
 TEST(ThreadPool, PoolIsReusableAfterNestedRejection) {
