@@ -199,7 +199,12 @@ TEST(TaskForest, MtcsDagForestConservesDroplets) {
 // Property sweep over the corpus: droplet conservation I = D + W and
 // demand-monotone input usage for every algorithm.
 struct ForestSweepParam {
+  ForestSweepParam(Algorithm a, std::uint64_t d) : algorithm(a), demand(d) {}
   Algorithm algorithm;
+  // gtest names each case after the param's raw bytes, so the gap before
+  // `demand` is an explicit zeroed member: implicit padding would leak
+  // stack/heap garbage into the test names and make them differ per run.
+  std::uint32_t padding = 0;
   std::uint64_t demand;
 };
 
