@@ -20,9 +20,9 @@
 #include "engine/baseline.h"
 #include "engine/mdst.h"
 #include "engine/pass_cache.h"
-#include "engine/pass_pool.h"
 #include "report/chart.h"
 #include "report/table.h"
+#include "runtime/thread_pool.h"
 #include "workload/ratio_corpus.h"
 
 #include "bench_obs.h"
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
       corpus.size(), std::vector<std::vector<Cell>>(
                          demands.size(), std::vector<Cell>(4)));
 
-  engine::PassPool pool(engine::PassPool::resolveJobs(jobs));
+  runtime::ThreadPool pool(runtime::ThreadPool::resolveJobs(jobs));
   pool.forEach(corpus.size(), [&](std::uint64_t ri) {
     engine::MdstEngine engine(corpus[ri]);
     engine::PassCache cache;

@@ -146,18 +146,18 @@ void BM_EvaluatePass(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluatePass)->Range(8, 128)->Complexity();
 
-// A full cold demand ladder [1, N] through the batched path — the optimized
+// A full cold demand ladder [1, N] through the pass cache — the optimized
 // streaming planner's dominant cost. The cache is fresh every iteration, so
 // every rung computes.
 void BM_DemandLadder(benchmark::State& state) {
   const engine::MdstEngine engine(pcrRatio());
   const auto top = static_cast<std::uint64_t>(state.range(0));
-  std::vector<std::uint64_t> demands;
-  for (std::uint64_t d = 1; d <= top; ++d) demands.push_back(d);
   for (auto _ : state) {
     engine::PassCache cache;
-    benchmark::DoNotOptimize(cache.evaluateLadder(
-        engine, mixgraph::Algorithm::MM, engine::Scheme::kSRS, 3, demands));
+    for (std::uint64_t d = 1; d <= top; ++d) {
+      benchmark::DoNotOptimize(cache.evaluate(
+          engine, mixgraph::Algorithm::MM, engine::Scheme::kSRS, 3, d));
+    }
   }
   state.SetComplexityN(state.range(0));
 }
@@ -466,28 +466,22 @@ void recordMeasuredSpeedups() {
   }
 
   // Demand-ladder sweep (the optimized streaming planner's hot loop): the
-  // full candidate range [1, 128] on the PCR ratio, scalar per-demand
-  // evaluation vs one batched sweep, plus the end-to-end optimized plan.
+  // full candidate range [1, 128] on the PCR ratio through the pass cache,
+  // plus the end-to-end optimized plan.
   {
     const engine::MdstEngine engine(pcrRatio());
-    std::vector<std::uint64_t> demands;
-    for (std::uint64_t d = 1; d <= 128; ++d) demands.push_back(d);
-    {
-      engine::PassCache cache;
-      const auto start = clock::now();
-      for (const std::uint64_t d : demands) {
+    const auto sweep = [&engine](engine::PassCache& cache) {
+      for (std::uint64_t d = 1; d <= 128; ++d) {
         benchmark::DoNotOptimize(cache.evaluate(
             engine, mixgraph::Algorithm::MM, engine::Scheme::kSRS, 3, d));
       }
-      metrics->gauge("bench.ladder.demand128_scalar_nanos")
-          .set(nanosSince(start));
-    }
+    };
     {
       engine::PassCache cache;
       const auto start = clock::now();
-      benchmark::DoNotOptimize(cache.evaluateLadder(
-          engine, mixgraph::Algorithm::MM, engine::Scheme::kSRS, 3, demands));
-      metrics->gauge("bench.ladder.demand128_nanos").set(nanosSince(start));
+      sweep(cache);
+      metrics->gauge("bench.ladder.demand128_scalar_nanos")
+          .set(nanosSince(start));
     }
     {
       engine::StreamingRequest request;
@@ -507,12 +501,10 @@ void recordMeasuredSpeedups() {
     // hot path trips the perf gate.
     {
       engine::PassCache warm;
-      benchmark::DoNotOptimize(warm.evaluateLadder(
-          engine, mixgraph::Algorithm::MM, engine::Scheme::kSRS, 3, demands));
+      sweep(warm);
       const std::uint64_t before = runtime::scratchArena().chunkAllocations();
       engine::PassCache cold;
-      benchmark::DoNotOptimize(cold.evaluateLadder(
-          engine, mixgraph::Algorithm::MM, engine::Scheme::kSRS, 3, demands));
+      sweep(cold);
       metrics->gauge("bench.arena.ladder_chunk_delta")
           .set(runtime::scratchArena().chunkAllocations() - before);
       metrics->gauge("bench.arena.bytes_reserved")

@@ -16,7 +16,6 @@
 #include <string>
 
 #include "engine/pass_cache.h"
-#include "engine/pass_pool.h"
 #include "engine/streaming.h"
 #include "protocols/protocols.h"
 #include "report/table.h"
@@ -59,7 +58,6 @@ int main(int argc, char** argv) {
     levels[d].engine = std::make_unique<engine::MdstEngine>(
         protocols::approximatePercentages(percentages, d));
   }
-  engine::PassPool pool(engine::PassPool::resolveJobs(jobs));
 
   for (std::uint64_t demand : {2u, 16u, 20u, 32u}) {
     std::vector<std::string> row{std::to_string(demand)};
@@ -72,9 +70,10 @@ int main(int argc, char** argv) {
         request.demand = demand;
         request.storageCap = cap;
         request.mixers = 3;
+        request.jobs = jobs;
         try {
           const engine::StreamingPlan plan =
-              planStreaming(*level.engine, request, level.cache, pool);
+              planStreaming(*level.engine, request, level.cache);
           row.push_back(std::to_string(plan.passes.size()) + " (" +
                         std::to_string(plan.totalCycles) + "," +
                         std::to_string(plan.totalWaste) + ")");

@@ -371,41 +371,6 @@ CheckResult Fuzzer::runCase(const FuzzCase& c) const {
       }
     }
 
-    if (inScope("stream")) {
-      // Differential: batched ladder evaluation must be element-wise
-      // identical to the scalar path it replaces — same forest, same
-      // schedule, same storage count for every demand, regardless of which
-      // entries were cache hits.
-      const std::uint64_t top = std::min<std::uint64_t>(c.demand, 24);
-      std::vector<std::uint64_t> ladder;
-      for (std::uint64_t d = 1; d <= top; ++d) ladder.push_back(d);
-      if (c.demand > top) ladder.push_back(c.demand);
-      engine::PassCache fresh;
-      const std::vector<engine::StreamingPass> batched =
-          fresh.evaluateLadder(engine, c.algorithm, c.scheme, mixers, ladder);
-      ++out.checksRun;
-      for (std::size_t i = 0; i < ladder.size(); ++i) {
-        const engine::StreamingPass scalar = engine::evaluatePass(
-            engine, c.algorithm, c.scheme, mixers, ladder[i]);
-        if (batched[i].demand != scalar.demand ||
-            batched[i].cycles != scalar.cycles ||
-            batched[i].storageUnits != scalar.storageUnits ||
-            batched[i].waste != scalar.waste ||
-            batched[i].inputDroplets != scalar.inputDroplets ||
-            batched[i].mixSplits != scalar.mixSplits) {
-          out.fail("ladder-scalar",
-                   "evaluateLadder diverges from evaluatePass at demand " +
-                       std::to_string(ladder[i]) + " (batched " +
-                       std::to_string(batched[i].cycles) + " cycles/" +
-                       std::to_string(batched[i].storageUnits) +
-                       " storage, scalar " + std::to_string(scalar.cycles) +
-                       " cycles/" + std::to_string(scalar.storageUnits) +
-                       " storage)");
-          break;
-        }
-      }
-    }
-
     if (inScope("stream") && c.storageCap > 0) {
       engine::StreamingRequest request;
       request.algorithm = c.algorithm;

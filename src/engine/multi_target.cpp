@@ -4,8 +4,8 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "engine/pass_pool.h"
 #include "obs/scope.h"
+#include "runtime/thread_pool.h"
 
 namespace dmf::engine {
 
@@ -51,7 +51,7 @@ MultiTargetResult runMultiTarget(const std::vector<TargetDemand>& targets,
   // they fan out over the pool; each writes its own slot and the reduction
   // below walks the slots in target order (deterministic for any `jobs`).
   std::vector<MdstResult> perTarget(targets.size());
-  PassPool pool(PassPool::resolveJobs(jobs));
+  runtime::ThreadPool pool(runtime::ThreadPool::resolveJobs(jobs));
   pool.forEach(targets.size(), [&](std::uint64_t i) {
     const TargetDemand& t = targets[i];
     const MdstEngine engine(t.ratio);

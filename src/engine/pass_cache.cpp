@@ -4,7 +4,6 @@
 #include <mutex>
 
 #include "obs/scope.h"
-#include "runtime/thread_pool.h"
 
 namespace dmf::engine {
 
@@ -52,14 +51,7 @@ StreamingPass evaluatePass(const MdstEngine& engine,
                            mixgraph::Algorithm algorithm, Scheme scheme,
                            unsigned mixers, std::uint64_t demand,
                            PassCacheStats* stageNanos) {
-  return evaluatePassOnGraph(engine.baseGraph(algorithm), scheme, mixers,
-                             demand, stageNanos);
-}
-
-StreamingPass evaluatePassOnGraph(const mixgraph::MixingGraph& graph,
-                                  Scheme scheme, unsigned mixers,
-                                  std::uint64_t demand,
-                                  PassCacheStats* stageNanos) {
+  const mixgraph::MixingGraph& graph = engine.baseGraph(algorithm);
   auto start = std::chrono::steady_clock::now();
   const forest::TaskForest f = [&] {
     const obs::Span span("engine.forest_build");
@@ -135,77 +127,6 @@ StreamingPass PassCache::evaluate(const MdstEngine& engine,
     entries_.emplace(key, pass);
   }
   return pass;
-}
-
-std::vector<StreamingPass> PassCache::evaluateLadder(
-    const MdstEngine& engine, mixgraph::Algorithm algorithm, Scheme scheme,
-    unsigned mixers, const std::vector<std::uint64_t>& demands,
-    PassPool* pool) {
-  std::vector<StreamingPass> results(demands.size());
-  std::vector<std::size_t> missIdx;
-
-  // Lookup prepass: one shared-lock round-trip resolves every hit.
-  {
-    const std::shared_lock<std::shared_mutex> lock(mutex_);
-    for (std::size_t i = 0; i < demands.size(); ++i) {
-      const PassKey key{algorithm, scheme, mixers, demands[i]};
-      const auto it = entries_.find(key);
-      if (it != entries_.end()) {
-        results[i] = it->second;
-      } else {
-        missIdx.push_back(i);
-      }
-    }
-  }
-  if (const std::uint64_t hitCount = demands.size() - missIdx.size()) {
-    hits_.add(hitCount);
-    obs::count("engine.pass_cache.hits", hitCount);
-  }
-  if (missIdx.empty()) return results;
-
-  // One base-graph resolution for the whole sweep: the scalar path re-enters
-  // the engine's lazy-cache mutex on every miss.
-  const mixgraph::MixingGraph& graph = engine.baseGraph(algorithm);
-
-  // Misses compute outside any lock (values are pure functions of the key);
-  // stage counters are atomic, so workers accumulate them directly.
-  auto evalMiss = [&](std::size_t m) {
-    PassCacheStats stage;
-    results[missIdx[m]] = evaluatePassOnGraph(graph, scheme, mixers,
-                                              demands[missIdx[m]], &stage);
-    buildNanos_.add(stage.buildNanos);
-    scheduleNanos_.add(stage.scheduleNanos);
-    storageNanos_.add(stage.storageNanos);
-  };
-  if (pool != nullptr && pool->jobs() > 1 && missIdx.size() > 1) {
-    pool->forEach(missIdx.size(), [&evalMiss](std::uint64_t m) {
-      evalMiss(static_cast<std::size_t>(m));
-    });
-  } else {
-    for (std::size_t m = 0; m < missIdx.size(); ++m) evalMiss(m);
-  }
-  misses_.add(missIdx.size());
-  obs::count("engine.pass_cache.misses", missIdx.size());
-
-  // Publish every fresh entry in one exclusive section, in ascending ladder
-  // order (emplace ignores duplicates, matching the racing-miss semantics of
-  // evaluate()).
-  {
-    const std::unique_lock<std::shared_mutex> lock(mutex_);
-    for (const std::size_t i : missIdx) {
-      entries_.emplace(PassKey{algorithm, scheme, mixers, demands[i]},
-                       results[i]);
-    }
-  }
-  return results;
-}
-
-std::vector<StreamingPass> evaluatePassLadder(
-    const MdstEngine& engine, mixgraph::Algorithm algorithm, Scheme scheme,
-    unsigned mixers, const std::vector<std::uint64_t>& demands,
-    PassCache& cache, PassPool* pool) {
-  return cache.evaluateLadder(engine, algorithm, scheme, mixers, demands,
-                              pool);
 }
 
 std::optional<StreamingPass> PassCache::lookup(const PassKey& key) const {

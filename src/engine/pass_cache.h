@@ -17,7 +17,6 @@
 #include <optional>
 #include <shared_mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "engine/streaming.h"
 #include "obs/metrics.h"
@@ -66,27 +65,6 @@ class PassCache {
                                        Scheme scheme, unsigned mixers,
                                        std::uint64_t demand);
 
-  /// Batched evaluation of a whole demand ladder in one sweep. Results are
-  /// returned in `demands` order and are element-wise identical to calling
-  /// evaluate() once per demand; only the cost profile differs:
-  ///
-  ///  * one shared-lock lookup prepass resolves every hit (the scalar path
-  ///    takes one lock round-trip per demand);
-  ///  * the base mixing graph is resolved once for all misses, hoisting the
-  ///    engine's lazy-cache mutex out of the per-demand loop;
-  ///  * misses fan out over `pool` when it has workers to spare, and all
-  ///    freshly computed entries publish under a single exclusive section,
-  ///    in ascending ladder order.
-  ///
-  /// Duplicate demands in the ladder are computed at most twice (once per
-  /// duplicate miss, same value) — harmless, like the racing-miss case of
-  /// evaluate(). `pool` may be null (serial). Must not be called from inside
-  /// a task already running on `pool`.
-  [[nodiscard]] std::vector<StreamingPass> evaluateLadder(
-      const MdstEngine& engine, mixgraph::Algorithm algorithm, Scheme scheme,
-      unsigned mixers, const std::vector<std::uint64_t>& demands,
-      PassPool* pool = nullptr);
-
   /// Non-computing lookup.
   [[nodiscard]] std::optional<StreamingPass> lookup(const PassKey& key) const;
 
@@ -115,25 +93,11 @@ class PassCache {
 
 /// Uncached single-pass evaluation (what the cache runs on a miss): builds
 /// the demand-droplet forest, schedules it with `scheme`, counts storage.
-/// `stats`, when non-null, receives the per-stage wall times of this call.
+/// `stageNanos`, when non-null, receives the per-stage wall times of this call.
 [[nodiscard]] StreamingPass evaluatePass(const MdstEngine& engine,
                                          mixgraph::Algorithm algorithm,
                                          Scheme scheme, unsigned mixers,
                                          std::uint64_t demand,
                                          PassCacheStats* stageNanos = nullptr);
-
-/// As evaluatePass, but on an already-resolved base graph — the inner loop of
-/// the batched ladder path, where the graph is fetched once per sweep instead
-/// of once per demand. evaluatePass(engine, alg, ...) is exactly
-/// evaluatePassOnGraph(engine.baseGraph(alg), ...).
-[[nodiscard]] StreamingPass evaluatePassOnGraph(
-    const mixgraph::MixingGraph& graph, Scheme scheme, unsigned mixers,
-    std::uint64_t demand, PassCacheStats* stageNanos = nullptr);
-
-/// Convenience wrapper over PassCache::evaluateLadder.
-[[nodiscard]] std::vector<StreamingPass> evaluatePassLadder(
-    const MdstEngine& engine, mixgraph::Algorithm algorithm, Scheme scheme,
-    unsigned mixers, const std::vector<std::uint64_t>& demands,
-    PassCache& cache, PassPool* pool = nullptr);
 
 }  // namespace dmf::engine

@@ -8,8 +8,8 @@
 
 #include "dmf/errors.h"
 #include "engine/pass_cache.h"
-#include "engine/pass_pool.h"
 #include "obs/scope.h"
+#include "runtime/thread_pool.h"
 
 namespace dmf::engine {
 
@@ -73,7 +73,7 @@ struct PlanContext {
   const StreamingRequest& request;
   unsigned mixers;
   PassCache& cache;
-  PassPool& pool;
+  runtime::ThreadPool& pool;
 
   [[nodiscard]] StreamingPass eval(std::uint64_t demand) const {
     return cache.evaluate(engine, request.algorithm, request.scheme, mixers,
@@ -82,31 +82,15 @@ struct PlanContext {
   [[nodiscard]] bool feasible(std::uint64_t demand) const {
     return eval(demand).storageUnits <= request.storageCap;
   }
-  /// Warms the cache for a batch of candidate demands in one ladder sweep.
+  /// Warms the cache for a batch of candidate demands over the pool.
   /// Purely a wall-time optimization: every decision below re-reads through
   /// eval(), whose results are a function of the key alone, so plans are
   /// identical with any job count. Gated on a real pool because a serial
   /// prefetch would evaluate candidates the descending scan may never reach.
   void prefetch(const std::vector<std::uint64_t>& demands) const {
     if (pool.jobs() <= 1 || demands.size() <= 1) return;
-    (void)cache.evaluateLadder(engine, request.algorithm, request.scheme,
-                               mixers, demands, &pool);
-  }
-  /// Warms the cache for the full candidate range [1, demand] — the
-  /// optimized planner's reduction visits every candidate, so a serial warm
-  /// does no extra work and the batched sweep does it with one lock
-  /// round-trip and one base-graph resolution per chunk instead of per
-  /// demand. Chunked to bound the index buffer on astronomical demands.
-  void warmRange(std::uint64_t demand) const {
-    constexpr std::uint64_t kChunk = 4096;
-    std::vector<std::uint64_t> batch;
-    for (std::uint64_t base = 1; base <= demand; base += kChunk) {
-      const std::uint64_t count = std::min(kChunk, demand - base + 1);
-      batch.resize(count);
-      for (std::uint64_t i = 0; i < count; ++i) batch[i] = base + i;
-      (void)cache.evaluateLadder(engine, request.algorithm, request.scheme,
-                                 mixers, batch, &pool);
-    }
+    pool.forEach(demands.size(),
+                 [this, &demands](std::uint64_t i) { (void)eval(demands[i]); });
   }
 };
 
@@ -190,7 +174,8 @@ std::uint64_t largestFeasiblePerPass(const PlanContext& ctx,
 
 StreamingPlan planStreamingImpl(const MdstEngine& engine,
                                 const StreamingRequest& request,
-                                PassCache& cache, PassPool& pool) {
+                                PassCache& cache,
+                                runtime::ThreadPool& pool) {
   const obs::Span span("engine.plan_streaming");
   if (request.demand == 0) {
     throw std::invalid_argument("planStreaming: demand must be positive");
@@ -240,7 +225,8 @@ StreamingPlan planStreamingImpl(const MdstEngine& engine,
 
 StreamingPlan planStreamingOptimizedImpl(const MdstEngine& engine,
                                          const StreamingRequest& request,
-                                         PassCache& cache, PassPool& pool) {
+                                         PassCache& cache,
+                                         runtime::ThreadPool& pool) {
   const obs::Span span("engine.plan_streaming_optimized");
   if (request.demand == 0) {
     throw std::invalid_argument(
@@ -257,12 +243,13 @@ StreamingPlan planStreamingOptimizedImpl(const MdstEngine& engine,
   const std::uint64_t demand = request.demand;
   const PlanContext ctx{engine, request, mixers, cache, pool};
 
-  // Every candidate D' in [1, D] gets evaluated (and every remainder demand
-  // D mod D' < D is one of them), so warm the whole range with batched
-  // ladder sweeps before the serial reduction — worthwhile even serially,
-  // since the sweep amortizes the cache lock and base-graph lookup that the
-  // reduction below would otherwise pay once per candidate.
-  ctx.warmRange(demand);
+  // The reduction below evaluates every candidate D' in [1, D] in ascending
+  // order, and each remainder D mod D' < D' is cached by the time it is
+  // read, so a serial run has nothing to warm. With workers, evaluate the
+  // whole range in parallel first; the reduction then only reads hits.
+  if (pool.jobs() > 1) {
+    pool.forEach(demand, [&ctx](std::uint64_t i) { (void)ctx.eval(i + 1); });
+  }
 
   std::optional<StreamingPlan> best;
   for (std::uint64_t perPass = 1;; ++perPass) {
@@ -313,13 +300,7 @@ StreamingPlan planStreaming(const MdstEngine& engine,
 StreamingPlan planStreaming(const MdstEngine& engine,
                             const StreamingRequest& request,
                             PassCache& cache) {
-  PassPool pool(PassPool::resolveJobs(request.jobs));
-  return planStreamingImpl(engine, request, cache, pool);
-}
-
-StreamingPlan planStreaming(const MdstEngine& engine,
-                            const StreamingRequest& request, PassCache& cache,
-                            PassPool& pool) {
+  runtime::ThreadPool pool(runtime::ThreadPool::resolveJobs(request.jobs));
   return planStreamingImpl(engine, request, cache, pool);
 }
 
@@ -332,13 +313,7 @@ StreamingPlan planStreamingOptimized(const MdstEngine& engine,
 StreamingPlan planStreamingOptimized(const MdstEngine& engine,
                                      const StreamingRequest& request,
                                      PassCache& cache) {
-  PassPool pool(PassPool::resolveJobs(request.jobs));
-  return planStreamingOptimizedImpl(engine, request, cache, pool);
-}
-
-StreamingPlan planStreamingOptimized(const MdstEngine& engine,
-                                     const StreamingRequest& request,
-                                     PassCache& cache, PassPool& pool) {
+  runtime::ThreadPool pool(runtime::ThreadPool::resolveJobs(request.jobs));
   return planStreamingOptimizedImpl(engine, request, cache, pool);
 }
 

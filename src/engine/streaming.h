@@ -8,16 +8,9 @@
 
 #include "engine/mdst.h"
 
-namespace dmf::runtime {
-class ThreadPool;
-}  // namespace dmf::runtime
-
 namespace dmf::engine {
 
 class PassCache;
-/// The streaming planner's worker pool is the shared runtime pool; the
-/// PassPool name survives from when it lived in engine/.
-using PassPool = runtime::ThreadPool;
 
 /// One pass of a streaming plan.
 struct StreamingPass {
@@ -87,11 +80,6 @@ struct StreamingRequest {
                                           const StreamingRequest& request,
                                           PassCache& cache);
 
-/// As above with a caller-owned worker pool (overrides request.jobs).
-[[nodiscard]] StreamingPlan planStreaming(const MdstEngine& engine,
-                                          const StreamingRequest& request,
-                                          PassCache& cache, PassPool& pool);
-
 /// Exhaustive refinement of planStreaming: the largest feasible D' does not
 /// always minimize the total cycle count (a slightly smaller forest can
 /// schedule disproportionately faster under a tight cap), so this variant
@@ -109,10 +97,5 @@ struct StreamingRequest {
 [[nodiscard]] StreamingPlan planStreamingOptimized(
     const MdstEngine& engine, const StreamingRequest& request,
     PassCache& cache);
-
-/// Shared-cache, shared-pool overload of planStreamingOptimized.
-[[nodiscard]] StreamingPlan planStreamingOptimized(
-    const MdstEngine& engine, const StreamingRequest& request,
-    PassCache& cache, PassPool& pool);
 
 }  // namespace dmf::engine

@@ -4,9 +4,6 @@
 // through an atomic counter and every index writes only its own result slot,
 // so callers that reduce in index order get bit-identical output for any job
 // count (including 1, which runs inline without spawning threads).
-//
-// Grown out of engine::PassPool (PR 1); engine/pass_pool.h keeps that name
-// alive as an alias.
 #pragma once
 
 #include <cstdint>

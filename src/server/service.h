@@ -173,6 +173,11 @@ class PlanService {
                                    bool* shutdown = nullptr,
                                    unsigned user = 0);
 
+  /// The {"ok":false,"kind":...,"error":...} line every rejection answers
+  /// with; `kind` is one of parse|request|infeasible|internal.
+  [[nodiscard]] static std::string errorResponse(const std::string& kind,
+                                                 const std::string& error);
+
   /// The admission queue's fleet accounting (zero-lane when off).
   [[nodiscard]] FleetQueueStats fleetStats() const {
     return queue_.fleetStats();
@@ -235,8 +240,6 @@ class PlanService {
   [[nodiscard]] static std::string planResponse(const char* source,
                                                 const std::string& key,
                                                 const std::string& plan);
-  [[nodiscard]] static std::string errorResponse(const std::string& kind,
-                                                 const std::string& error);
   [[nodiscard]] static std::string outcomeResponse(const char* source,
                                                    const std::string& key,
                                                    const Outcome& outcome);

@@ -128,18 +128,35 @@ void SocketServer::stop() {
 }
 
 void SocketServer::serveConnection(int fd, unsigned user) {
-  std::string pending;
+  std::string line;  // the request line assembled so far
   char buffer[4096];
   bool shutdownRequested = false;
   for (;;) {
     const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // peer closed (or error): connection is done
-    pending.append(buffer, static_cast<std::size_t>(n));
-    std::size_t newline;
-    while ((newline = pending.find('\n')) != std::string::npos) {
-      std::string line = pending.substr(0, newline);
-      pending.erase(0, newline + 1);
+    // Only the freshly received bytes are scanned for newlines, so a line
+    // costs time linear in its length.
+    const char* cursor = buffer;
+    const char* const end = buffer + n;
+    while (cursor != end) {
+      const char* newline = static_cast<const char*>(
+          std::memchr(cursor, '\n', static_cast<std::size_t>(end - cursor)));
+      const char* const lineEnd = newline != nullptr ? newline : end;
+      if (line.size() + static_cast<std::size_t>(lineEnd - cursor) >
+          kMaxRequestLineBytes) {
+        const std::string response = PlanService::errorResponse(
+            "request", "request line exceeds " +
+                           std::to_string(kMaxRequestLineBytes) + " bytes");
+        if (writeAll(fd, response.data(), response.size())) {
+          writeAll(fd, "\n", 1);
+        }
+        closeFd(fd);
+        return;
+      }
+      line.append(cursor, lineEnd);
+      if (newline == nullptr) break;
+      cursor = newline + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;  // blank lines are keepalive noise
       const std::string response =
@@ -154,6 +171,7 @@ void SocketServer::serveConnection(int fd, unsigned user) {
         stop();
         return;
       }
+      line.clear();
     }
   }
   closeFd(fd);

@@ -5,10 +5,13 @@
 // internet endpoint), accepts any number of connections, and answers one
 // response line per request line. All request handling goes through
 // PlanService::handle, which never throws — a malformed line gets an error
-// response and the connection stays up.
+// response and the connection stays up. A line longer than
+// kMaxRequestLineBytes is the one exception: it gets a "request" error and
+// the connection is closed.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <mutex>
@@ -19,6 +22,11 @@
 namespace dmf::server {
 
 class PlanService;
+
+/// Longest request line a connection may send, newline excluded. The
+/// server stops buffering past it, so one client cannot grow a connection's
+/// memory without bound.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
 
 struct SocketServerOptions {
   /// TCP port on 127.0.0.1; 0 = ephemeral (read the bound port back with

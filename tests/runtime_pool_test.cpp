@@ -1,8 +1,6 @@
-// The shared runtime thread pool (promoted from engine::PassPool in PR 3).
-// The basic forEach contract (index coverage, reuse across batches,
-// lowest-index exception, serial inline path) is also exercised under the
-// PassPool alias in streaming_plan_test.cpp; this suite pins the library's
-// own guarantees: worker ids, nested-use rejection, and jobs resolution.
+// The shared runtime thread pool: the forEach contract (index coverage,
+// reuse across batches, lowest-index exception, serial inline path), worker
+// ids, nested-use rejection, and jobs resolution.
 #include "runtime/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +12,36 @@
 
 namespace dmf::runtime {
 namespace {
+
+TEST(ThreadPool, ForEachCoversEveryIndexExactlyOnce) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> touched(10000);
+  pool.forEach(touched.size(), [&](std::uint64_t i) {
+    touched[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (std::size_t i = 0; i < touched.size(); ++i) {
+    ASSERT_EQ(touched[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPool, ReusableAcrossBatches) {
+  ThreadPool pool(3);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::uint64_t> out(97, 0);
+    pool.forEach(out.size(), [&](std::uint64_t i) { out[i] = i * i; });
+    for (std::uint64_t i = 0; i < out.size(); ++i) {
+      ASSERT_EQ(out[i], i * i);
+    }
+  }
+}
+
+TEST(ThreadPool, SerialPoolSpawnsNoThreadsAndStillWorks) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.jobs(), 1u);
+  std::uint64_t sum = 0;
+  pool.forEach(100, [&](std::uint64_t i) { sum += i; });
+  EXPECT_EQ(sum, 4950u);
+}
 
 TEST(ThreadPool, WorkerIdsStayInRange) {
   ThreadPool pool(4);

@@ -4,8 +4,14 @@
 // for every --jobs value).
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -753,6 +759,56 @@ TEST(ServerSocket, MalformedLinesKeepTheConnectionAlive) {
   const std::string text = out.str();
   EXPECT_NE(text.find("\"kind\":\"parse\""), std::string::npos);
   EXPECT_NE(text.find("{\"ok\":true,\"op\":\"ping\"}"), std::string::npos);
+}
+
+TEST(ServerSocket, OversizedLineIsRejected) {
+  PlanService service(ServiceOptions{});
+  SocketServer socket(service, SocketServerOptions{0});
+  std::thread serverThread([&socket] { socket.run(); });
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  // A server that keeps the connection open fails the test after this wait
+  // instead of hanging it.
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(socket.port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+
+  // One byte past the limit, then a ping that only an open connection
+  // would answer. The server may hang up mid-send, so send errors are
+  // expected and end the sending.
+  const std::string bytes =
+      std::string(kMaxRequestLineBytes + 1, 'x') + "\n{\"op\":\"ping\"}\n";
+  for (std::size_t sent = 0; sent < bytes.size();) {
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string received;
+  char buffer[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    received.append(buffer, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  socket.stop();
+  serverThread.join();
+
+  EXPECT_NE(received.find("\"kind\":\"request\""), std::string::npos)
+      << received;
+  EXPECT_EQ(received.find("\"kind\":\"parse\""), std::string::npos);
+  EXPECT_EQ(std::count(received.begin(), received.end(), '\n'), 1)
+      << "the connection must close after the rejection: " << received;
 }
 
 }  // namespace

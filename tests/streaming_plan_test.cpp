@@ -1,5 +1,5 @@
 // Regression tests for the streaming-planner storage-cap fixes and the
-// pass-evaluation layer (PassCache + PassPool).
+// pass-evaluation layer (PassCache over runtime::ThreadPool).
 //
 // The two planner bugs covered here shipped in the original bisection
 // planner: (1) the remainder pass was never checked against the storage cap,
@@ -14,14 +14,15 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "engine/mdst.h"
 #include "engine/pass_cache.h"
-#include "engine/pass_pool.h"
 #include "engine/streaming.h"
+#include "runtime/thread_pool.h"
 
 namespace dmf::engine {
 namespace {
@@ -264,7 +265,7 @@ TEST(StreamingPlanParallel, OptimizedFourThreadsMatchOneThread) {
 TEST(PassCacheAccounting, ConcurrentEvaluationIsConsistent) {
   MdstEngine engine = engineFor("2:1:1:1:1:1:9");
   PassCache cache;
-  PassPool pool(4);
+  runtime::ThreadPool pool(4);
   std::vector<unsigned> storage(64);
   pool.forEach(storage.size(), [&](std::uint64_t i) {
     // Demands overlap heavily (i % 8), forcing hit and miss paths to race.
@@ -282,53 +283,59 @@ TEST(PassCacheAccounting, ConcurrentEvaluationIsConsistent) {
   EXPECT_EQ(cache.stats().evaluations(), storage.size());
 }
 
-TEST(PassPoolExecution, ForEachCoversEveryIndexExactlyOnce) {
-  PassPool pool(4);
-  std::vector<std::atomic<int>> touched(10000);
-  pool.forEach(touched.size(), [&](std::uint64_t i) {
-    touched[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (std::size_t i = 0; i < touched.size(); ++i) {
-    ASSERT_EQ(touched[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(PassPoolExecution, ReusableAcrossBatches) {
-  PassPool pool(3);
-  for (int round = 0; round < 50; ++round) {
-    std::vector<std::uint64_t> out(97, 0);
-    pool.forEach(out.size(), [&](std::uint64_t i) { out[i] = i * i; });
-    for (std::uint64_t i = 0; i < out.size(); ++i) {
-      ASSERT_EQ(out[i], i * i);
+// The optimized planner evaluates every candidate D' in [1, D] exactly
+// once: serially through its ascending reduction, in parallel through one
+// warm sweep. A warm that recomputed or skipped a demand moves the count.
+TEST(PassCacheAccounting, OptimizedPlanMissesEveryCandidateOnce) {
+  MdstEngine engine = engineFor("2:1:1:1:1:1:9");
+  for (const unsigned jobs : {1u, 4u}) {
+    for (const std::uint64_t demand : {20u, 37u}) {
+      PassCache cache;
+      (void)planStreamingOptimized(engine, request(demand, 5, 3, jobs), cache);
+      EXPECT_EQ(cache.stats().misses, demand)
+          << "jobs=" << jobs << " D=" << demand;
+      EXPECT_EQ(cache.size(), demand) << "jobs=" << jobs << " D=" << demand;
     }
   }
 }
 
-TEST(PassPoolExecution, LowestIndexExceptionWins) {
-  PassPool pool(4);
-  try {
-    pool.forEach(1000, [](std::uint64_t i) {
-      if (i >= 500) {
-        throw std::runtime_error(std::to_string(i));
+TEST(PassKeyHash, DistinctOverSweepGrid) {
+  // The exact key grid a planner sweep touches: every (algorithm, scheme,
+  // mixers, demand) combination must hash distinctly — 64-bit collisions on
+  // a few thousand structured keys would mean the mix is broken.
+  constexpr Algorithm kAlgos[] = {Algorithm::MM, Algorithm::RMA,
+                                  Algorithm::MTCS, Algorithm::RSM};
+  constexpr Scheme kSchemes[] = {Scheme::kMMS, Scheme::kSRS, Scheme::kOMS};
+  const PassKeyHash hash;
+  std::set<std::size_t> seen;
+  std::size_t keys = 0;
+  for (const Algorithm algorithm : kAlgos) {
+    for (const Scheme scheme : kSchemes) {
+      for (unsigned mixers = 1; mixers <= 4; ++mixers) {
+        for (std::uint64_t demand = 1; demand <= 64; ++demand) {
+          seen.insert(hash(PassKey{algorithm, scheme, mixers, demand}));
+          ++keys;
+        }
       }
-    });
-    FAIL() << "expected the batch to rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "500");
+    }
   }
+  EXPECT_EQ(seen.size(), keys);
 }
 
-TEST(PassPoolExecution, SerialPoolSpawnsNoThreadsAndStillWorks) {
-  PassPool pool(1);
-  EXPECT_EQ(pool.jobs(), 1u);
-  std::uint64_t sum = 0;
-  pool.forEach(100, [&](std::uint64_t i) { sum += i; });
-  EXPECT_EQ(sum, 4950u);
-}
-
-TEST(PassPoolExecution, ZeroResolvesToHardwareConcurrency) {
-  EXPECT_GE(PassPool::resolveJobs(0), 1u);
-  EXPECT_EQ(PassPool::resolveJobs(7), 7u);
+TEST(PassKeyHash, SpreadsConsecutiveDemands) {
+  // Demand sweeps insert consecutive integers — the access pattern that
+  // collided modulo small bucket counts before the per-field avalanche.
+  // A well-mixed hash fills ~63% of N buckets with N random keys; the old
+  // field-XOR hash landed consecutive demands in clustered buckets.
+  const PassKeyHash hash;
+  constexpr std::size_t kBuckets = 4096;
+  std::set<std::size_t> buckets;
+  for (std::uint64_t demand = 1; demand <= kBuckets; ++demand) {
+    buckets.insert(hash(PassKey{Algorithm::MM, Scheme::kSRS, 4, demand}) %
+                   kBuckets);
+  }
+  EXPECT_GE(buckets.size(), kBuckets * 55 / 100);
+  EXPECT_LE(buckets.size(), kBuckets * 72 / 100);
 }
 
 }  // namespace
