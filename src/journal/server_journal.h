@@ -1,5 +1,5 @@
 // Write-ahead log for the plan daemon (DESIGN.md §16): every admitted plan
-// request is journaled before its computation is queued and acknowledged
+// request is journaled before it is computed and acknowledged
 // once the result reaches the plan cache. On restart, recoverPending()
 // returns the logged-but-unacknowledged request lines so the daemon can
 // replay them — and because every computed plan lands in the disk cache

@@ -1,7 +1,10 @@
 #include "server/service.h"
 
+#include <algorithm>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "dmf/errors.h"
@@ -11,151 +14,117 @@
 #include "obs/log.h"
 #include "obs/scope.h"
 #include "report/json.h"
+#include "runtime/thread_pool.h"
 
 namespace dmf::server {
 
 using report::Json;
 
 // ---------------------------------------------------------------------------
-// AdmissionQueue
+// AdmissionGate
 
-AdmissionQueue::AdmissionQueue(runtime::ThreadPool& pool,
-                               FleetArbitration fleet)
-    : pool_(pool), fleet_(std::move(fleet)) {
-  if (fleet_.lanes > 0) {
-    if (fleet_.weights.empty()) fleet_.weights.assign(16, 1.0);
-    policy_ = dmf::fleet::makePolicy(fleet_.policy);
-    policy_->setUsers(static_cast<unsigned>(fleet_.weights.size()));
-    policy_->setWeights(fleet_.weights);
-    policy_->setQuantum(fleet_.quantum);
-    userService_.assign(fleet_.weights.size(), 0);
-    laneBusy_.assign(fleet_.lanes, 0);
+namespace {
+
+/// Jain's fairness index over weight-normalized service, in permille.
+std::uint64_t jainPermille(const std::vector<std::uint64_t>& service,
+                           const std::vector<double>& weights) {
+  double sum = 0.0;
+  double sumSquares = 0.0;
+  for (std::size_t u = 0; u < service.size(); ++u) {
+    const double x = static_cast<double>(service[u]) / weights[u];
+    sum += x;
+    sumSquares += x * x;
   }
-  dispatcher_ = std::thread([this] { drainLoop(); });
+  if (sumSquares <= 0.0) return 1000;
+  return static_cast<std::uint64_t>(
+      (sum * sum) / (static_cast<double>(service.size()) * sumSquares) *
+          1000.0 +
+      0.5);
 }
 
-AdmissionQueue::~AdmissionQueue() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
+}  // namespace
+
+AdmissionGate::AdmissionGate(const ServiceOptions& options)
+    : lanes_(options.fleet),
+      weights_(options.fleetWeights),
+      policy_(dmf::fleet::makePolicy(lanes_ > 0 ? options.fleetPolicy
+                                                : "fifo")),
+      free_(runtime::ThreadPool::resolveJobs(options.jobs)) {
+  if (lanes_ == 0) {
+    policy_->setUsers(1);  // arrival order: every caller is one user
+    return;
   }
-  wake_.notify_all();
-  dispatcher_.join();
+  if (weights_.empty()) weights_.assign(16, 1.0);
+  policy_->setUsers(static_cast<unsigned>(weights_.size()));
+  policy_->setWeights(weights_);
+  policy_->setQuantum(options.fleetQuantum);
+  userService_.assign(weights_.size(), 0);
+  laneBusy_.assign(lanes_, 0);
 }
 
-void AdmissionQueue::submit(unsigned user, std::uint64_t cost,
-                            std::function<void()> job) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    pending_.push_back(
-        PendingJob{user, std::max<std::uint64_t>(1, cost), std::move(job)});
-    obs::gaugeMax("server.queue.depth", pending_.size());
-  }
-  wake_.notify_one();
+AdmissionGate::Permit AdmissionGate::acquire(unsigned user,
+                                             std::uint64_t cost) {
+  Waiter self;
+  std::unique_lock<std::mutex> lock(mutex_);
+  dmf::fleet::WorkItem item;
+  item.user =
+      lanes_ > 0 ? user % static_cast<unsigned>(weights_.size()) : 0;
+  item.admission = admission_++;
+  item.cost = std::max<std::uint64_t>(1, cost);
+  waiters_.emplace(item.admission, &self);
+  policy_->enqueue(item);
+  grantLocked();
+  obs::gaugeMax("server.queue.depth", policy_->pending());
+  self.wake.wait(lock, [&self] { return self.granted; });
+  return Permit(*this);
 }
 
-FleetQueueStats AdmissionQueue::fleetStats() const {
-  FleetQueueStats stats;
-  stats.lanes = fleet_.lanes;
-  stats.policy = fleet_.policy;
-  std::lock_guard<std::mutex> lock(mutex_);
-  stats.userService = userService_;
-  stats.laneBusy = laneBusy_;
-  if (fleet_.lanes > 0) {
-    double sum = 0.0;
-    double sumSquares = 0.0;
-    for (std::size_t u = 0; u < userService_.size(); ++u) {
-      const double x =
-          static_cast<double>(userService_[u]) / fleet_.weights[u];
-      sum += x;
-      sumSquares += x * x;
-    }
-    if (sumSquares > 0.0) {
-      stats.jainPermille = static_cast<std::uint64_t>(
-          (sum * sum) /
-              (static_cast<double>(userService_.size()) * sumSquares) *
-              1000.0 +
-          0.5);
-    }
-  }
-  return stats;
+void AdmissionGate::release() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  ++free_;
+  grantLocked();
 }
 
-std::vector<AdmissionQueue::PendingJob> AdmissionQueue::arbitrate(
-    std::vector<PendingJob> batch) {
-  // Policy-order the batch. The policy instance lives across batches, so
-  // wfq virtual time and round-robin cursors carry over — arbitration is
-  // about the stream of admissions, not any one batch.
-  const auto slots = static_cast<unsigned>(fleet_.weights.size());
-  for (const PendingJob& pending : batch) {
-    dmf::fleet::WorkItem item;
-    item.user = pending.user % slots;
-    item.admission = admission_++;
-    item.cost = pending.cost;
-    policy_->enqueue(item);
-  }
-  std::vector<PendingJob> ordered;
-  ordered.reserve(batch.size());
-  std::vector<std::uint64_t> laneBusy;
-  std::vector<std::uint64_t> userService;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    laneBusy = laneBusy_;
-    userService = userService_;
-  }
-  while (!policy_->empty()) {
+void AdmissionGate::grantLocked() {
+  while (free_ > 0) {
     const std::optional<unsigned> user = policy_->pickUser(0.0);
-    if (!user.has_value()) break;
+    if (!user.has_value()) return;
     const std::optional<dmf::fleet::WorkItem> item = policy_->pop(*user);
-    if (!item.has_value()) continue;
-    // admission numbers are batch-local positions, so this maps back to
-    // the submitted job; the ordered list is the policy's service order.
-    const std::uint64_t index =
-        item->admission - (admission_ - batch.size());
-    ordered.push_back(std::move(batch[index]));
-    userService[*user] += item->cost;
+    if (!item.has_value()) return;
+    --free_;
+    // Notified under the lock: the waiter's stack frame outlives the wait
+    // only until it reacquires mutex_.
+    Waiter* waiter = waiters_.extract(item->admission).mapped();
+    waiter->granted = true;
+    waiter->wake.notify_one();
+    if (lanes_ == 0) continue;
+    userService_[*user] += item->cost;
     // Virtual lane placement: least-loaded lane first (ties to the lowest
     // lane id) — the utilization picture a real fleet of chips would show.
     std::size_t lane = 0;
-    for (std::size_t l = 1; l < laneBusy.size(); ++l) {
-      if (laneBusy[l] < laneBusy[lane]) lane = l;
+    for (std::size_t l = 1; l < laneBusy_.size(); ++l) {
+      if (laneBusy_[l] < laneBusy_[lane]) lane = l;
     }
-    laneBusy[lane] += item->cost;
+    laneBusy_[lane] += item->cost;
     obs::count("server.fleet.dispatched");
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    laneBusy_ = laneBusy;
-    userService_ = userService;
-  }
-  if (obs::MetricsRegistry* m = obs::metrics()) {
-    for (std::size_t l = 0; l < laneBusy.size(); ++l) {
-      m->gauge("server.fleet.lane." + std::to_string(l) + ".busy_cost")
-          .set(laneBusy[l]);
+    if (obs::MetricsRegistry* m = obs::metrics()) {
+      m->gauge("server.fleet.lane." + std::to_string(lane) + ".busy_cost")
+          .set(laneBusy_[lane]);
     }
+    obs::gaugeSet("server.fleet.jain_permille",
+                  jainPermille(userService_, weights_));
   }
-  obs::gaugeSet("server.fleet.jain_permille", fleetStats().jainPermille);
-  return ordered;
 }
 
-void AdmissionQueue::drainLoop() {
-  for (;;) {
-    std::vector<PendingJob> batch;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [this] { return stopping_ || !pending_.empty(); });
-      if (pending_.empty()) return;  // stopping with nothing left to run
-      batch.swap(pending_);
-    }
-    obs::count("server.queue.batches");
-    obs::LogLine(obs::LogLevel::kDebug, "server.admission.batch")
-        .num("jobs", batch.size());
-    if (policy_ != nullptr) batch = arbitrate(std::move(batch));
-    // One batch = one forEach over the shared pool: everything admitted
-    // together fans out together; arrivals during the batch form the next.
-    pool_.forEach(batch.size(),
-                  [&batch](std::uint64_t i) { batch[i].job(); });
-  }
+FleetQueueStats AdmissionGate::fleetStats() const {
+  FleetQueueStats stats;
+  stats.lanes = lanes_;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  stats.policy = policy_->name();
+  stats.userService = userService_;
+  stats.laneBusy = laneBusy_;
+  if (lanes_ > 0) stats.jainPermille = jainPermille(userService_, weights_);
+  return stats;
 }
 
 // ---------------------------------------------------------------------------
@@ -168,10 +137,7 @@ PlanService::PlanService(const ServiceOptions& options)
                    ? nullptr
                    : std::make_unique<journal::ServerJournal>(
                          options.journalDir)),
-      pool_(runtime::ThreadPool::resolveJobs(options.jobs)),
-      queue_(pool_,
-             FleetArbitration{options.fleet, options.fleetPolicy,
-                              options.fleetWeights, options.fleetQuantum}) {}
+      gate_(options) {}
 
 PlanService::~PlanService() = default;
 
@@ -194,8 +160,8 @@ std::size_t PlanService::replayJournal() {
 std::string PlanService::handle(const std::string& line, bool* shutdown,
                                 unsigned user) {
   // The root span of this request's trace: everything downstream — cache
-  // probe, coalesce wait, the queued computation (via ContextGuard), engine
-  // and pool-worker spans — shares its trace id.
+  // probe, coalesce wait, the computation and its engine spans — shares its
+  // trace id.
   obs::Span span("server.request", "server");
   requests_.fetch_add(1, std::memory_order_relaxed);
   const auto start = std::chrono::steady_clock::now();
@@ -279,7 +245,7 @@ std::string PlanService::dispatch(const std::string& line, bool* shutdown,
     // from a live daemon.
     // Fleet arbitration accounting, when enabled: per-user-slot service,
     // lane utilization and the Jain fairness index the obs gauges track.
-    const FleetQueueStats fleet = queue_.fleetStats();
+    const FleetQueueStats fleet = gate_.fleetStats();
     if (fleet.lanes > 0) {
       Json fleetJson = Json::object();
       fleetJson.set("lanes", std::uint64_t{fleet.lanes})
@@ -374,33 +340,27 @@ std::string PlanService::handlePlan(const Json& request,
     return outcomeResponse("coalesced", key, future.get());
   }
 
-  // Write-ahead: the leader journals the admitted request *before* its
-  // computation is queued, so a daemon killed mid-compute finds the line
-  // unacknowledged on restart and replays it.
-  std::uint64_t walId = 0;
-  if (journal_ != nullptr) walId = journal_->logRequest(line);
-
-  // The leader publishes through the cache *before* retiring the in-flight
-  // entry, so a request arriving between the two sees one or the other,
-  // never a re-plan.
-  auto task = std::make_shared<std::promise<Outcome>>(std::move(promise));
-  const obs::SpanContext requestContext = span.context();
-  // The policy arbitrates on the request demand — the best cost proxy
-  // available before the plan is computed.
-  queue_.submit(user, canonical.demand, [this, canonical, key, task,
-                                         requestContext, walId] {
-    // Adopt the leader request's context: the computation runs on a pool
-    // worker, but its spans (engine, scheduler, router) splice into the
-    // request's trace.
-    const obs::ContextGuard adopt(requestContext);
-    Outcome outcome;
+  // The leader computes on this thread. Every exit from here on fulfils
+  // the future and retires the in-flight entry: an escaping exception (a
+  // failed WAL append, say) must answer the followers, not break their
+  // promise and leave the key coalescing onto it until restart.
+  Outcome outcome;
+  try {
+    // Write-ahead: the leader journals the admitted request *before* it
+    // computes, so a daemon killed mid-compute finds the line
+    // unacknowledged on restart and replays it.
+    std::uint64_t walId = 0;
+    if (journal_ != nullptr) walId = journal_->logRequest(line);
+    // The policy arbitrates on the request demand — the best cost proxy
+    // available before the plan is computed.
+    const AdmissionGate::Permit permit = gate_.acquire(user, canonical.demand);
     {
       const obs::Span computeSpan("server.compute", "server");
       outcome = compute(canonical);
     }
     if (outcome.ok) cache_.put(key, outcome.plan);
     // Ack after the cache put (and even for failed outcomes — a replay
-    // would fail identically). Pool jobs must not throw, so a WAL I/O
+    // would fail identically). The plan is already cached, so a WAL I/O
     // failure here degrades to a warning: the worst case is one spurious
     // replay on the next restart.
     if (walId != 0) {
@@ -411,25 +371,24 @@ std::string PlanService::handlePlan(const Json& request,
             .str("error", e.what());
       }
     }
-    // Fulfil the shared future *before* the in-flight entry is retired.
-    // With the old order (erase, then set_value) a request arriving in
-    // between saw neither the in-flight entry nor — when a concurrent put
-    // had already evicted this key from a small cache — the cached bytes,
-    // and became a duplicate leader: a second compute and a second WAL
-    // append for one logical request. With this order every arrival finds
-    // the cache entry, a pending future, or a ready future.
-    task->set_value(std::move(outcome));
-  });
-  const std::string response = outcomeResponse("planned", key, future.get());
-  // The *leader* retires its entry, strictly after set_value and after the
-  // cache put: a failed (uncacheable) outcome must not linger as a ready
-  // future once the leader has answered — the next request for the key is
-  // a fresh leader that recomputes (InfeasibleOutcomesAreNotCached).
+  } catch (const std::exception& e) {
+    outcome = Outcome{false, {}, "internal", e.what()};
+  } catch (...) {
+    outcome = Outcome{false, {}, "internal", "unknown error"};
+  }
+  // Publish before retiring: the plan is cached and the future fulfilled
+  // before the in-flight entry goes, so every arrival finds the cache
+  // entry, a pending future or a ready future — never a gap that elects a
+  // duplicate leader (a second compute and WAL append) when a small cache
+  // has already evicted the key. Retiring the entry once answered keeps a
+  // failed, uncacheable outcome from lingering: the next request for the
+  // key is a fresh leader (InfeasibleOutcomesAreNotCached).
+  promise.set_value(std::move(outcome));
   {
     std::lock_guard<std::mutex> lock(inflightMutex_);
     inflight_.erase(key);
   }
-  return response;
+  return outcomeResponse("planned", key, future.get());
 }
 
 PlanService::Outcome PlanService::compute(const CanonicalRequest& request) {
@@ -448,9 +407,8 @@ PlanService::Outcome PlanService::compute(const CanonicalRequest& request) {
     streaming.demand = request.demand;
     streaming.storageCap = request.storageCap;
     streaming.mixers = request.mixers;
-    // Serial inside one computation: the admission queue already fans
-    // distinct requests over the pool, and nesting the same pool would be
-    // rejected by ThreadPool.
+    // Serial inside one computation: the admission gate already runs up to
+    // `jobs` distinct requests concurrently.
     streaming.jobs = 1;
     const engine::StreamingPlan plan =
         request.optimize ? engine::planStreamingOptimized(engine, streaming)

@@ -7,9 +7,9 @@
 //   parse -> canonicalize -> cache get (hit: respond in microseconds)
 //         -> coalescing map (in-flight identical request: wait on its
 //            future — second arrival never re-plans)
-//         -> admission queue (leader enqueues; batches drain over the
-//            shared runtime::ThreadPool; each plan computes serially so
-//            cross-request parallelism never nests the pool)
+//         -> admission gate (the leader takes one of `jobs` permits,
+//            waiting in arbitration-policy order while none is free, and
+//            computes on its own thread; each plan computes serially)
 //
 // handle() never throws: malformed input, infeasible requests and internal
 // errors all become {"ok":false,...} responses — nothing propagates across
@@ -20,18 +20,15 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "fleet/policy.h"
 #include "obs/scope.h"
-#include "runtime/thread_pool.h"
 #include "server/canonical.h"
 #include "server/plan_cache.h"
 
@@ -50,18 +47,18 @@ struct ServiceOptions {
   /// computation and acknowledged once cached, so a killed daemon replays
   /// the in-flight ones on restart. Empty = no WAL.
   std::string journalDir;
-  /// Admission-queue fan-out: plan computations for distinct requests run
-  /// concurrently over this many workers (0 = hardware concurrency). Each
-  /// computation is serial inside, so responses are byte-identical for
-  /// every value.
+  /// Maximum concurrent plan computations (0 = hardware concurrency). A
+  /// cold leader computes on its own thread once it holds one of these
+  /// permits. Each computation is serial inside, so responses are
+  /// byte-identical for every value.
   unsigned jobs = 1;
   /// Test-only: stretch every cold computation by this many nanoseconds to
   /// make coalescing windows deterministic. 0 in production.
   std::uint64_t computeDelayNanosForTest = 0;
-  /// Fleet arbitration (DESIGN.md §17): when > 0, admission batches drain
-  /// in fleet::ArbitrationPolicy order over this many virtual lanes, with
-  /// per-connection user identity feeding fairness accounting. 0 keeps the
-  /// plain admission-order drain.
+  /// Fleet arbitration (DESIGN.md §17): when > 0, leaders waiting for a
+  /// permit are granted in fleet::ArbitrationPolicy order, and each grant
+  /// is accounted to its user and placed on one of this many virtual lanes.
+  /// 0 grants waiters in arrival order and accounts nothing.
   unsigned fleet = 0;
   /// "fifo" | "rr" | "wfq" (makePolicy names).
   std::string fleetPolicy = "fifo";
@@ -72,18 +69,7 @@ struct ServiceOptions {
   double fleetQuantum = 0.0;
 };
 
-/// Fleet-arbitration configuration of the admission queue (off by default).
-struct FleetArbitration {
-  /// Virtual lanes batches place over (0 = arbitration off).
-  unsigned lanes = 0;
-  std::string policy = "fifo";
-  /// User-slot weights; size bounds the slots connection ids fold into
-  /// (empty = 16 equal-weight slots).
-  std::vector<double> weights;
-  double quantum = 0.0;
-};
-
-/// Per-user-slot service accounting of a fleet-arbitrated queue.
+/// Per-user-slot service accounting of a fleet-arbitrated gate.
 struct FleetQueueStats {
   unsigned lanes = 0;
   std::string policy;
@@ -96,60 +82,67 @@ struct FleetQueueStats {
   std::uint64_t jainPermille = 1000;
 };
 
-/// Batches submitted jobs and drains each batch over the shared pool. The
-/// dispatcher thread is the only pool caller, so jobs themselves may not
-/// touch the pool (nested same-pool use is rejected by ThreadPool anyway).
-///
-/// With fleet arbitration enabled each batch is reordered by the
-/// arbitration policy before it fans out: the policy state (e.g. wfq
-/// virtual time) persists across batches, so a heavy user's backlog cannot
-/// starve light users within any drain.
-class AdmissionQueue {
+/// Bounds concurrent plan computations to a fixed number of permits. The
+/// caller computes on its own thread while it holds a permit; there is no
+/// dispatcher thread and no batch. While every permit is held, callers wait,
+/// and each freed permit goes to the waiter the arbitration policy picks:
+/// fifo without fleet arbitration, the configured policy with it. The
+/// policy state (e.g. wfq virtual time) persists across grants, so a heavy
+/// user's backlog cannot starve light users.
+class AdmissionGate {
  public:
-  explicit AdmissionQueue(runtime::ThreadPool& pool,
-                          FleetArbitration fleet = {});
-  ~AdmissionQueue();
+  /// A held permit; destruction returns it to the gate.
+  class Permit {
+   public:
+    explicit Permit(AdmissionGate& gate) : gate_(gate) {}
+    ~Permit() { gate_.release(); }
+    Permit(const Permit&) = delete;
+    Permit& operator=(const Permit&) = delete;
 
-  AdmissionQueue(const AdmissionQueue&) = delete;
-  AdmissionQueue& operator=(const AdmissionQueue&) = delete;
+   private:
+    AdmissionGate& gate_;
+  };
 
-  /// Enqueues a job; it runs on a pool worker in admission order (policy
-  /// order under fleet arbitration). Jobs must not throw (they fulfill
-  /// promises instead). `user` is the submitting user's identity (folded
-  /// into a user slot); `cost` is the service-cost proxy the policy
-  /// arbitrates on (e.g. the request demand; clamped to >= 1).
-  void submit(unsigned user, std::uint64_t cost, std::function<void()> job);
-  void submit(std::function<void()> job) { submit(0, 1, std::move(job)); }
+  /// `options.jobs` permits, arbitrated as the `options.fleet*` fields
+  /// configure.
+  explicit AdmissionGate(const ServiceOptions& options);
+
+  AdmissionGate(const AdmissionGate&) = delete;
+  AdmissionGate& operator=(const AdmissionGate&) = delete;
+
+  /// Blocks until the caller holds a permit. `user` is the caller's
+  /// identity (folded into a user slot); `cost` is the service-cost proxy
+  /// the policy arbitrates on (e.g. the request demand; clamped to >= 1).
+  [[nodiscard]] Permit acquire(unsigned user, std::uint64_t cost);
 
   /// Snapshot of the fleet accounting (zero-lane stats when arbitration is
   /// off). Thread-safe.
   [[nodiscard]] FleetQueueStats fleetStats() const;
 
  private:
-  struct PendingJob {
-    unsigned user = 0;
-    std::uint64_t cost = 1;
-    std::function<void()> job;
+  /// A caller blocked in acquire(), woken when its item is granted.
+  struct Waiter {
+    std::condition_variable wake;
+    bool granted = false;
   };
 
-  void drainLoop();
-  /// Policy-orders one batch and updates the fleet accounting.
-  [[nodiscard]] std::vector<PendingJob> arbitrate(
-      std::vector<PendingJob> batch);
+  void release();
+  /// Hands free permits to waiters in policy order and accounts each
+  /// grant. Caller holds mutex_.
+  void grantLocked();
 
-  runtime::ThreadPool& pool_;
-  FleetArbitration fleet_;
-  /// Touched only by the dispatcher thread.
-  std::unique_ptr<fleet::ArbitrationPolicy> policy_;
-  std::uint64_t admission_ = 0;
+  /// Virtual lanes (0 = fleet arbitration off) and user-slot weights.
+  const unsigned lanes_;
+  std::vector<double> weights_;
   mutable std::mutex mutex_;
-  std::condition_variable wake_;
-  std::vector<PendingJob> pending_;
-  /// Fleet accounting (guarded by mutex_ — stats() reads cross-thread).
+  /// Guarded by mutex_, like everything below.
+  std::unique_ptr<fleet::ArbitrationPolicy> policy_;
+  unsigned free_;
+  std::uint64_t admission_ = 0;
+  /// Waiters by the admission number of their policy item.
+  std::unordered_map<std::uint64_t, Waiter*> waiters_;
   std::vector<std::uint64_t> userService_;
   std::vector<std::uint64_t> laneBusy_;
-  bool stopping_ = false;
-  std::thread dispatcher_;
 };
 
 class PlanService {
@@ -178,9 +171,9 @@ class PlanService {
   [[nodiscard]] static std::string errorResponse(const std::string& kind,
                                                  const std::string& error);
 
-  /// The admission queue's fleet accounting (zero-lane when off).
+  /// The admission gate's fleet accounting (zero-lane when off).
   [[nodiscard]] FleetQueueStats fleetStats() const {
-    return queue_.fleetStats();
+    return gate_.fleetStats();
   }
 
   /// Replays write-ahead-logged requests left unacknowledged by a previous
@@ -247,10 +240,9 @@ class PlanService {
   ServiceOptions options_;
   PlanCache cache_;
   /// Null without options.journalDir; owned here so WAL appends can come
-  /// from any connection or pool thread for the service's whole lifetime.
+  /// from any request thread for the service's whole lifetime.
   std::unique_ptr<journal::ServerJournal> journal_;
-  runtime::ThreadPool pool_;
-  AdmissionQueue queue_;  // after pool_: drains onto it, destroyed first
+  AdmissionGate gate_;
 
   std::mutex inflightMutex_;
   std::unordered_map<std::string, Inflight> inflight_;

@@ -79,14 +79,7 @@ SocketServer::SocketServer(PlanService& service,
 
 SocketServer::~SocketServer() {
   stop();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(threadsMutex_);
-    threads.swap(threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  joinConnections();
   closeFd(listenFd_);
   listenFd_ = -1;
 }
@@ -105,18 +98,37 @@ void SocketServer::run() {
     obs::count("server.connections");
     obs::LogLine(obs::LogLevel::kDebug, "server.connection.accept")
         .num("fd", static_cast<std::uint64_t>(fd));
-    std::lock_guard<std::mutex> lock(threadsMutex_);
+    const std::lock_guard<std::mutex> lock(connectionsMutex_);
+    // Reap finished connections before adding one: an unjoined thread keeps
+    // its stack mapped, so a long-lived daemon would otherwise grow by one
+    // stack per connection it ever served.
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      if (it->done.load(std::memory_order_acquire)) {
+        it->thread.join();
+        it = connections_.erase(it);
+      } else {
+        ++it;
+      }
+    }
     const unsigned user = nextUser_.fetch_add(1, std::memory_order_relaxed);
-    threads_.emplace_back([this, fd, user] { serveConnection(fd, user); });
+    Connection& connection = connections_.emplace_back();
+    connection.thread = std::thread([this, fd, user, &connection] {
+      serveConnection(fd, user);
+      connection.done.store(true, std::memory_order_release);
+    });
   }
   // Join what is there; late connection threads are joined by ~SocketServer.
-  std::vector<std::thread> threads;
+  joinConnections();
+}
+
+void SocketServer::joinConnections() {
+  std::list<Connection> connections;
   {
-    std::lock_guard<std::mutex> lock(threadsMutex_);
-    threads.swap(threads_);
+    const std::lock_guard<std::mutex> lock(connectionsMutex_);
+    connections.swap(connections_);
   }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
+  for (Connection& connection : connections) {
+    if (connection.thread.joinable()) connection.thread.join();
   }
 }
 

@@ -14,10 +14,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace dmf::server {
 
@@ -48,24 +48,35 @@ class SocketServer {
   [[nodiscard]] unsigned short port() const { return port_; }
 
   /// Accept loop: blocks until stop() is called or a {"op":"shutdown"}
-  /// request arrives. Joins every connection thread before returning.
+  /// request arrives. Joins finished connection threads as it accepts new
+  /// ones, and every connection thread before returning.
   void run();
 
   /// Thread-safe: wakes the accept loop and begins draining.
   void stop();
 
  private:
+  /// One connection's thread. `done` is the thread's last act, so a done
+  /// connection joins without blocking.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   /// `user` is the connection's identity for fleet arbitration: the accept
   /// order index, stable for a connection's whole lifetime.
   void serveConnection(int fd, unsigned user);
+  /// Joins every connection thread, running or not.
+  void joinConnections();
 
   PlanService& service_;
   int listenFd_ = -1;
   unsigned short port_ = 0;
   std::atomic<unsigned> nextUser_{0};
   std::atomic<bool> stopping_{false};
-  std::mutex threadsMutex_;
-  std::vector<std::thread> threads_;
+  std::mutex connectionsMutex_;
+  /// A list, so a running thread's `done` flag never moves.
+  std::list<Connection> connections_;
 };
 
 /// Test/CI driver: connects to 127.0.0.1:port, sends every line of `in` as
