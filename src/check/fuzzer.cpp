@@ -332,6 +332,19 @@ CheckResult Fuzzer::runCase(const FuzzCase& c) const {
                            0, out);
       checkScheduledForest(forest, oms, 0, out);
       checkSrsContract(forest, srs, mms, out);
+      // The streaming search's storage-cap probe may only prove "exceeds"
+      // when SRS really stores more: at the case's cap, and at SRS's own
+      // storage, which it must never claim to exceed.
+      const unsigned srsStorage = sched::countStorage(forest, srs);
+      for (const unsigned cap : {c.storageCap, srsStorage}) {
+        ++out.checksRun;
+        if (srsStorage <= cap &&
+            sched::srsStorageExceeds(forest, mixers, cap)) {
+          out.fail("srs-bound", "check proves storage > " +
+                                    std::to_string(cap) + ", SRS stores " +
+                                    std::to_string(srsStorage));
+        }
+      }
       // Differential: a unit MixerBank must reduce exactly to the paper's
       // unit-cycle model, so the heterogeneous scheduler and OMS (both
       // longest-chain list schedulers) must complete at the same cycle.

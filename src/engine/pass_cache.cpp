@@ -1,9 +1,11 @@
 #include "engine/pass_cache.h"
 
+#include <algorithm>
 #include <chrono>
 #include <mutex>
 
 #include "obs/scope.h"
+#include "sched/schedulers.h"
 
 namespace dmf::engine {
 
@@ -129,6 +131,46 @@ StreamingPass PassCache::evaluate(const MdstEngine& engine,
   return pass;
 }
 
+bool PassCache::fits(const MdstEngine& engine, mixgraph::Algorithm algorithm,
+                     Scheme scheme, unsigned mixers, std::uint64_t demand,
+                     unsigned cap) {
+  const PassKey key{algorithm, scheme, mixers, demand};
+  bool exceeds = false;
+  {
+    const std::shared_lock<std::shared_mutex> lock(mutex_);
+    const auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      hits_.add(1);
+      obs::count("engine.pass_cache.hits");
+      return it->second.storageUnits <= cap;
+    }
+    const auto floor = floors_.find(key);
+    exceeds = floor != floors_.end() && floor->second >= cap;
+  }
+
+  // MMS and OMS make a single schedule, so there is no cheaper run to clip:
+  // only SRS probes get the bound check.
+  if (!exceeds && scheme == Scheme::kSRS) {
+    exceeds = [&] {
+      const obs::Span span("engine.bound_check");
+      const forest::TaskForest f(engine.baseGraph(algorithm), demand);
+      return sched::srsStorageExceeds(f, mixers, cap);
+    }();
+    if (exceeds) {
+      const std::unique_lock<std::shared_mutex> lock(mutex_);
+      unsigned& floor = floors_[key];
+      floor = std::max(floor, cap);
+    }
+  }
+  if (!exceeds) {
+    return evaluate(engine, algorithm, scheme, mixers, demand).storageUnits <=
+           cap;
+  }
+  boundRejects_.add(1);
+  obs::count("engine.pass_cache.bound_rejects");
+  return false;
+}
+
 std::optional<StreamingPass> PassCache::lookup(const PassKey& key) const {
   const std::shared_lock<std::shared_mutex> lock(mutex_);
   const auto it = entries_.find(key);
@@ -145,6 +187,7 @@ PassCacheStats PassCache::stats() const {
   PassCacheStats s;
   s.hits = hits_.value();
   s.misses = misses_.value();
+  s.boundRejects = boundRejects_.value();
   s.buildNanos = buildNanos_.value();
   s.scheduleNanos = scheduleNanos_.value();
   s.storageNanos = storageNanos_.value();
@@ -154,8 +197,10 @@ PassCacheStats PassCache::stats() const {
 void PassCache::clear() {
   const std::unique_lock<std::shared_mutex> lock(mutex_);
   entries_.clear();
+  floors_.clear();
   hits_.reset();
   misses_.reset();
+  boundRejects_.reset();
   buildNanos_.reset();
   scheduleNanos_.reset();
   storageNanos_.reset();

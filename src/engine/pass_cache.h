@@ -7,6 +7,11 @@
 // keyed on (algorithm, scheme, mixers, demand), and keeps hit/miss plus
 // per-stage timing counters for reporting.
 //
+// The streaming search mostly asks a narrower question — does the pass fit
+// the storage cap? — and most of its probes are far over the cap. fits()
+// answers those without a full evaluation where it can prove the pass
+// exceeds the cap, remembering per key the largest cap proven exceeded.
+//
 // A PassCache holds results for ONE target ratio: callers key caches per
 // MdstEngine (the key does not include the ratio). Sharing a cache between
 // engines with different ratios silently returns wrong passes.
@@ -43,6 +48,9 @@ struct PassKeyHash {
 struct PassCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  /// fits() probes answered "exceeds the cap" without a full evaluation:
+  /// proven by the SRS bound check or read from the floor memo.
+  std::uint64_t boundRejects = 0;
   /// Per-stage wall time of all cache misses, in nanoseconds.
   std::uint64_t buildNanos = 0;     ///< TaskForest construction
   std::uint64_t scheduleNanos = 0;  ///< scheduler run
@@ -65,6 +73,15 @@ class PassCache {
                                        Scheme scheme, unsigned mixers,
                                        std::uint64_t demand);
 
+  /// Whether the pass of `demand` droplets stores at most `cap` units.
+  /// Answers from the first source that settles it: a memoized full pass;
+  /// the floor memo (the largest cap this key is proven to exceed); for SRS,
+  /// sched::srsStorageExceeds on the pass forest; otherwise evaluate(). The
+  /// answer always equals evaluate(...).storageUnits <= cap. Thread-safe.
+  [[nodiscard]] bool fits(const MdstEngine& engine,
+                          mixgraph::Algorithm algorithm, Scheme scheme,
+                          unsigned mixers, std::uint64_t demand, unsigned cap);
+
   /// Non-computing lookup.
   [[nodiscard]] std::optional<StreamingPass> lookup(const PassKey& key) const;
 
@@ -80,12 +97,15 @@ class PassCache {
  private:
   mutable std::shared_mutex mutex_;
   std::unordered_map<PassKey, StreamingPass, PassKeyHash> entries_;
+  /// Floor memo: the largest cap each key's SRS storage is proven to exceed.
+  std::unordered_map<PassKey, unsigned, PassKeyHash> floors_;
   // obs instruments used standalone; stats() is the thin adapter that
   // snapshots them into the legacy PassCacheStats shape. When a global
   // obs::Scope is active, evaluate() additionally mirrors these counts into
   // the session registry (engine.pass_cache.*).
   obs::Counter hits_;
   obs::Counter misses_;
+  obs::Counter boundRejects_;
   obs::Counter buildNanos_;
   obs::Counter scheduleNanos_;
   obs::Counter storageNanos_;

@@ -114,7 +114,8 @@ Json toJson(const PassCacheStats& stats) {
   Json out = Json::object();
   out.set("hits", stats.hits)
       .set("misses", stats.misses)
-      .set("evaluations", stats.evaluations());
+      .set("evaluations", stats.evaluations())
+      .set("boundRejects", stats.boundRejects);
   Json timings = Json::object();
   timings.set("forestBuildNanos", stats.buildNanos)
       .set("scheduleNanos", stats.scheduleNanos)

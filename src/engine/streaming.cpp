@@ -80,17 +80,20 @@ struct PlanContext {
                           demand);
   }
   [[nodiscard]] bool feasible(std::uint64_t demand) const {
-    return eval(demand).storageUnits <= request.storageCap;
+    return cache.fits(engine, request.algorithm, request.scheme, mixers,
+                      demand, request.storageCap);
   }
   /// Warms the cache for a batch of candidate demands over the pool.
   /// Purely a wall-time optimization: every decision below re-reads through
-  /// eval(), whose results are a function of the key alone, so plans are
-  /// identical with any job count. Gated on a real pool because a serial
-  /// prefetch would evaluate candidates the descending scan may never reach.
+  /// feasible() and eval(), whose answers are a function of the key and cap
+  /// alone, so plans are identical with any job count. Gated on a real pool
+  /// because a serial prefetch would probe candidates the descending scan
+  /// may never reach.
   void prefetch(const std::vector<std::uint64_t>& demands) const {
     if (pool.jobs() <= 1 || demands.size() <= 1) return;
-    pool.forEach(demands.size(),
-                 [this, &demands](std::uint64_t i) { (void)eval(demands[i]); });
+    pool.forEach(demands.size(), [this, &demands](std::uint64_t i) {
+      (void)feasible(demands[i]);
+    });
   }
 };
 

@@ -360,6 +360,12 @@ struct CappedScratch {
   Schedule out;  // the run's result; copied out on adoption
   /// Peak droplets parked in one cycle (carried - consumedNow) over the run.
   std::int64_t peak = 0;
+  /// The largest admission pressure the run let through and the smallest it
+  /// turned away. Every budget in [passedMax, blockedMin) answers each of
+  /// the run's pressure tests the same way, so it follows the same
+  /// trajectory.
+  std::int64_t passedMax = 0;
+  std::int64_t blockedMin = 0;
 
   /// The SRS refinement's memo: one entry per distinct admission budget
   /// (cap + window in 64 bits, so no window wraps it) — at most six per
@@ -372,6 +378,14 @@ struct CappedScratch {
   };
   std::unordered_map<std::uint64_t, Run> runs;
   std::vector<Schedule> wins;
+
+  /// srsStorageExceeds' record of failed runs: each one settles the later
+  /// budgets in [passedMax, blockedMin).
+  struct Settled {
+    std::int64_t passedMax = 0;
+    std::int64_t blockedMin = 0;
+  };
+  std::vector<Settled> settled;
 };
 
 CappedScratch& cappedScratch() {
@@ -409,6 +423,8 @@ bool tryStorageCapped(const TaskForest& forest, unsigned mixers,
   s.scheme = "capped";
   s.completionTime = 0;
   scratch.peak = 0;
+  scratch.passedMax = std::numeric_limits<std::int64_t>::min();
+  scratch.blockedMin = std::numeric_limits<std::int64_t>::max();
   const std::size_t n = forest.taskCount();
   s.reset(n);
   if (n == 0) return true;
@@ -461,6 +477,14 @@ bool tryStorageCapped(const TaskForest& forest, unsigned mixers,
   // The invariant itself is checked at the end of every cycle.
   std::int64_t carried = 0;
   const std::int64_t budget = limits.admission;
+  auto admits = [&](std::int64_t pressure) {
+    if (pressure > budget) {
+      scratch.blockedMin = std::min(scratch.blockedMin, pressure);
+      return false;
+    }
+    scratch.passedMax = std::max(scratch.passedMax, pressure);
+    return true;
+  };
   std::size_t remaining = n;
   std::vector<TaskId>& batch = scratch.batch;
   for (unsigned t = 1; remaining > 0; ++t) {
@@ -493,7 +517,7 @@ bool tryStorageCapped(const TaskForest& forest, unsigned mixers,
       }
       const std::int64_t prod = consumedOuts[id];
       if (prod > cons &&
-          carried - consumedNow - cons + producedNow + prod > budget) {
+          !admits(carried - consumedNow - cons + producedNow + prod)) {
         ready[w++] = ready[i];  // net-producing consumer under pressure
         continue;
       }
@@ -517,7 +541,7 @@ bool tryStorageCapped(const TaskForest& forest, unsigned mixers,
         continue;
       }
       const std::int64_t prod = consumedOuts[id];
-      if (carried - consumedNow + producedNow + prod > budget) {
+      if (!admits(carried - consumedNow + producedNow + prod)) {
         break;  // strict order among producers
       }
       producedNow += prod;
@@ -619,23 +643,31 @@ Schedule scheduleStorageCapped(const TaskForest& forest, unsigned mixers,
   return *best;
 }
 
-Schedule scheduleSRS(const TaskForest& forest, unsigned mixers) {
-  if (mixers == 0) {
-    throw std::invalid_argument("SRS: at least one mixer required");
-  }
-  Schedule best = scheduleJustInTime(forest, mixers);
-  best.scheme = "SRS";
-  if (forest.taskCount() == 0) return best;
-  unsigned bestStorage = countStorage(forest, best);
+namespace {
 
-  // The time budget: a bounded slowdown over the fastest candidate (the
-  // paper reports SRS costs ~5% completion time on average).
-  unsigned fastest = best.completionTime;
+/// SRS's candidate pool before refinement: the just-in-time schedule, then
+/// MMS (SRS must never store more than it, section 4.2.2) and the verbatim
+/// two-queue Algorithm 2, which is strong on wide forests. scheduleSRS
+/// refines from it and srsStorageExceeds bounds from it, so the two share
+/// every seed, budget and tie-break.
+struct SrsPrelude {
+  const TaskForest& forest;
+  Schedule best;
+  unsigned bestStorage = 0;
+  unsigned fastest = 0;
   std::uint64_t adopted = 0;
-  auto adopt = [&](Schedule candidate) {
+
+  /// The time budget: a bounded slowdown over the fastest candidate (the
+  /// paper reports SRS costs ~5% completion time on average).
+  [[nodiscard]] unsigned timeBudget() const {
+    return fastest + std::max(3u, fastest / 4);
+  }
+
+  /// Keeps `candidate` if it stores less, or as much but finishes sooner,
+  /// within the time budget. Never raises bestStorage.
+  void adopt(Schedule candidate) {
     fastest = std::min(fastest, candidate.completionTime);
-    const unsigned budget = fastest + std::max(3u, fastest / 4);
-    if (candidate.completionTime > budget) return;
+    if (candidate.completionTime > timeBudget()) return;
     const unsigned storage = countStorage(forest, candidate);
     if (storage < bestStorage ||
         (storage == bestStorage &&
@@ -645,12 +677,28 @@ Schedule scheduleSRS(const TaskForest& forest, unsigned mixers) {
       bestStorage = storage;
       ++adopted;
     }
-  };
+  }
+};
 
-  // Candidate pool: MMS (SRS must never store more than it, section 4.2.2)
-  // and the verbatim two-queue Algorithm 2, which is strong on wide forests.
-  adopt(scheduleMMS(forest, mixers));
-  adopt(scheduleSRSGreedy(forest, mixers));
+SrsPrelude srsPrelude(const TaskForest& forest, unsigned mixers) {
+  if (mixers == 0) {
+    throw std::invalid_argument("SRS: at least one mixer required");
+  }
+  SrsPrelude pool{forest, scheduleJustInTime(forest, mixers)};
+  pool.best.scheme = "SRS";
+  if (forest.taskCount() == 0) return pool;
+  pool.bestStorage = countStorage(forest, pool.best);
+  pool.fastest = pool.best.completionTime;
+  pool.adopt(scheduleMMS(forest, mixers));
+  pool.adopt(scheduleSRSGreedy(forest, mixers));
+  return pool;
+}
+
+}  // namespace
+
+Schedule scheduleSRS(const TaskForest& forest, unsigned mixers) {
+  SrsPrelude pool = srsPrelude(forest, mixers);
+  if (forest.taskCount() == 0) return std::move(pool.best);
 
   // Refinement: storage-capped scheduling seeded with the current best
   // schedule's order, scanning every cap below it (feasibility is not
@@ -659,9 +707,9 @@ Schedule scheduleSRS(const TaskForest& forest, unsigned mixers) {
   // within the time budget parking at most `cap` droplets per cycle, so each
   // budget is simulated once and every attempt is answered from its peak
   // (DESIGN.md §15).
-  const unsigned timeBudget = fastest + std::max(3u, fastest / 4);
-  const std::vector<unsigned> seedCycles = best.cycles;
-  const unsigned capsScanned = bestStorage;
+  const unsigned timeBudget = pool.timeBudget();
+  const std::vector<unsigned> seedCycles = pool.best.cycles;
+  const unsigned capsScanned = pool.bestStorage;
   CappedScratch& scratch = cappedScratch();
   scratch.runs.clear();
   scratch.wins.clear();
@@ -694,13 +742,56 @@ Schedule scheduleSRS(const TaskForest& forest, unsigned mixers) {
       }
     });
     if (candidate != CappedScratch::Run::kFailed) {
-      adopt(scratch.wins[candidate]);
+      pool.adopt(scratch.wins[candidate]);
     }
   }
   obs::count("sched.srs.capped_runs", scratch.runs.size());
   obs::count("sched.srs.caps_scanned", capsScanned);
-  obs::count("sched.srs.candidates_adopted", adopted);
-  return best;
+  obs::count("sched.srs.candidates_adopted", pool.adopted);
+  return std::move(pool.best);
+}
+
+bool srsStorageExceeds(const TaskForest& forest, unsigned mixers,
+                       unsigned cap) {
+  const SrsPrelude pool = srsPrelude(forest, mixers);
+  if (pool.bestStorage <= cap) return false;
+
+  // scheduleSRS ends on the prelude's best or on an adopted capped win, and
+  // a win's storage is its run's peak. So it stores at most `cap` only if
+  // some refinement run — budget B at the first cap c asking for it — parks
+  // at most `cap` droplets per cycle. Rerunning B with its storage cap
+  // clipped to min(c, cap) succeeds exactly then, because the cap test
+  // changes no state. Each failed run also settles the later budgets sharing
+  // its trajectory: the scan descends, so their clipped caps are no larger
+  // and they fail too (DESIGN.md §15).
+  const unsigned timeBudget = pool.timeBudget();
+  CappedScratch& scratch = cappedScratch();
+  std::vector<CappedScratch::Settled>& settled = scratch.settled;
+  settled.clear();
+  bool fits = false;
+  for (unsigned scanned = pool.bestStorage; !fits && scanned-- > 0;) {
+    const std::int64_t clipped = std::min(scanned, cap);
+    forEachWindow(mixers, [&](unsigned window) {
+      if (fits) return;
+      const auto admission =
+          static_cast<std::int64_t>(std::uint64_t{scanned} + window);
+      for (const CappedScratch::Settled& run : settled) {
+        if (run.passedMax <= admission && admission < run.blockedMin) return;
+      }
+      CappedLimits limits;
+      limits.admission = admission;
+      limits.storageCap = clipped;
+      limits.deadline = timeBudget;
+      if (tryStorageCapped(forest, mixers, limits, pool.best.cycles,
+                           scratch)) {
+        fits = true;
+        return;
+      }
+      settled.push_back({scratch.passedMax, scratch.blockedMin});
+    });
+  }
+  obs::count("sched.srs.bound_runs", settled.size() + (fits ? 1 : 0));
+  return !fits;
 }
 
 Schedule scheduleOMS(const TaskForest& forest, unsigned mixers) {

@@ -24,6 +24,15 @@ namespace dmf::sched {
 [[nodiscard]] Schedule scheduleSRS(const forest::TaskForest& forest,
                                    unsigned mixers);
 
+/// Exact storage-cap probe for scheduleSRS: returns true only when
+/// countStorage(forest, scheduleSRS(forest, mixers)) > cap, and false when
+/// it cannot prove that ("not proven"; SRS may or may not fit). Runs SRS's
+/// candidate pool, then its refinement runs with their storage caps clipped
+/// to `cap`, skipping budgets a failed run already settles (DESIGN.md §15).
+/// Throws std::invalid_argument if mixers == 0.
+[[nodiscard]] bool srsStorageExceeds(const forest::TaskForest& forest,
+                                     unsigned mixers, unsigned cap);
+
 /// The verbatim two-queue pseudo-code of Algorithm 2 (Q_int Type-A/B highest
 /// level first, then Q_leaf Type-C lowest level first, greedily every cycle).
 /// Exposed for comparison; scheduleSRS dominates it on storage.

@@ -255,22 +255,30 @@ class ScheduleHash {
   std::uint64_t hash_ = 0xcbf29ce484222325ull;
 };
 
-template <typename Fn>
-void forEachCorpusForest(Fn fn) {
+// The seeded ratio corpus: one random ratio per (sum 16/32/64, 2..8 parts).
+std::vector<Ratio> corpusRatios() {
+  std::vector<Ratio> ratios;
   for (std::uint64_t sum : {16u, 32u, 64u}) {
     for (std::size_t parts = 2; parts <= 8; ++parts) {
       workload::RandomRatioGenerator gen(sum, parts, sum * 16 + parts);
-      const Ratio r = gen.next();
-      const unsigned mlb = minimumMixers(TaskForest(buildMM(r), 2));
-      for (Algorithm algo : {Algorithm::MM, Algorithm::RMA, Algorithm::MTCS,
-                             Algorithm::RSM}) {
-        const MixingGraph g = buildGraph(r, algo);
-        for (std::uint64_t demand = 1;; demand += 1 + demand / 3) {
-          demand = std::min<std::uint64_t>(demand, 256);
-          const TaskForest f(g, demand);
-          for (unsigned mixers : {mlb, mlb + 1, 2u}) fn(f, mixers);
-          if (demand == 256) break;
-        }
+      ratios.push_back(gen.next());
+    }
+  }
+  return ratios;
+}
+
+template <typename Fn>
+void forEachCorpusForest(Fn fn) {
+  for (const Ratio& r : corpusRatios()) {
+    const unsigned mlb = minimumMixers(TaskForest(buildMM(r), 2));
+    for (Algorithm algo : {Algorithm::MM, Algorithm::RMA, Algorithm::MTCS,
+                           Algorithm::RSM}) {
+      const MixingGraph g = buildGraph(r, algo);
+      for (std::uint64_t demand = 1;; demand += 1 + demand / 3) {
+        demand = std::min<std::uint64_t>(demand, 256);
+        const TaskForest f(g, demand);
+        for (unsigned mixers : {mlb, mlb + 1, 2u}) fn(f, mixers);
+        if (demand == 256) break;
       }
     }
   }
@@ -297,6 +305,47 @@ TEST(StorageCapped, CorpusScheduleHashPinned) {
     }
   });
   EXPECT_EQ(hash.value(), 0x4b16844c57b73857ull);
+}
+
+// srsStorageExceeds may answer "exceeds" only when scheduleSRS really stores
+// more than the cap, on every forest, mixer bank and cap. An unsound clip or
+// trajectory-sharing skip shows up here as an "exceeds" on a fitting pass.
+TEST(Srs, StorageExceedsCheckIsSound) {
+  std::uint64_t exceeding = 0;
+  std::uint64_t proven = 0;
+  for (const Ratio& r : corpusRatios()) {
+    const MixingGraph g = buildMM(r);
+    const unsigned mlb = minimumMixers(TaskForest(g, 2));
+    for (std::uint64_t demand = 1; demand <= 96; ++demand) {
+      const TaskForest f(g, demand);
+      for (unsigned mixers : {mlb, 2u, 5u}) {
+        const unsigned storage = countStorage(f, scheduleSRS(f, mixers));
+        for (unsigned cap = 0; cap <= 8; ++cap) {
+          exceeding += storage > cap ? 1 : 0;
+          if (!srsStorageExceeds(f, mixers, cap)) continue;
+          ++proven;
+          EXPECT_GT(storage, cap) << r.toString() << " D=" << demand
+                                  << " mixers=" << mixers;
+        }
+      }
+    }
+  }
+  // Sound, and conclusive on nearly every pass that does exceed its cap
+  // (41660 of 41662 here), or the streaming search saves nothing.
+  EXPECT_LE(proven, exceeding);
+  EXPECT_GE(proven * 100, exceeding * 99);
+
+  // The heavy PCR stream of the fleet benchmark: its D=256 probe parks
+  // dozens of droplets, and the check proves it over the cap of 3 in a
+  // handful of runs instead of the refinement's full budget scan.
+  const TaskForest heavy(buildMM(pcr()), 256);
+  obs::Session session;
+  {
+    const obs::Scope scope(session);
+    EXPECT_TRUE(srsStorageExceeds(heavy, 3, 3));
+  }
+  EXPECT_GT(countStorage(heavy, scheduleSRS(heavy, 3)), 3u);
+  EXPECT_EQ(session.metrics.counter("sched.srs.bound_runs").value(), 12u);
 }
 
 TEST(Srs, HugeMixerBankSchedulesFig3InBoundedWork) {

@@ -299,6 +299,90 @@ TEST(PassCacheAccounting, OptimizedPlanMissesEveryCandidateOnce) {
   }
 }
 
+// The heavy PCR stream of the fleet benchmark (D=256, cap 3, Mlb mixers):
+// the verified search probes 13 distinct demands, and 8 of them park 4 to
+// 95 droplets. fits() proves those over the cap without a full
+// evaluation (one is probed twice and read from the floor memo), so only the
+// 5 demands that fit are evaluated, and the plan is unchanged.
+TEST(PassCacheAccounting, InfeasibleProbesSkipFullEvaluation) {
+  MdstEngine engine = engineFor("2:1:1:1:1:1:9");
+  PassCache cache;
+  const StreamingPlan plan = planStreaming(engine, request(256, 3, 0), cache);
+  EXPECT_EQ(cache.stats().misses, 5u);
+  EXPECT_EQ(cache.stats().boundRejects, 9u);
+  EXPECT_EQ(cache.size(), 5u);
+  EXPECT_EQ(plan.perPassDemand, 14u);
+  EXPECT_EQ(plan.passes.size(), 19u);
+  EXPECT_EQ(plan.totalCycles, 112u);
+  expectAllPassesFit(plan, 3, 256, "heavy");
+}
+
+// fits() answers from a full entry, then from the floor memo, and only
+// then checks or evaluates; its answer always matches a full evaluation.
+TEST(PassCacheAccounting, FitsAnswersFromFloorMemo) {
+  MdstEngine engine = engineFor("2:1:1:1:1:1:9");
+  PassCache cache;
+  const unsigned storage =
+      evaluatePass(engine, Algorithm::MM, Scheme::kSRS, 3, 64).storageUnits;
+  ASSERT_GT(storage, 3u);
+
+  EXPECT_FALSE(cache.fits(engine, Algorithm::MM, Scheme::kSRS, 3, 64, 3));
+  EXPECT_EQ(cache.stats().boundRejects, 1u);
+  // A tighter cap is settled by the floor memo; a looser one that still
+  // exceeds is proven afresh and raises the floor.
+  EXPECT_FALSE(cache.fits(engine, Algorithm::MM, Scheme::kSRS, 3, 64, 1));
+  EXPECT_FALSE(
+      cache.fits(engine, Algorithm::MM, Scheme::kSRS, 3, 64, storage - 1));
+  EXPECT_EQ(cache.stats().boundRejects, 3u);
+  EXPECT_EQ(cache.stats().evaluations(), 0u);
+  EXPECT_EQ(cache.size(), 0u);
+
+  // A fitting cap cannot be proven over, so it evaluates once and every
+  // later probe of the key reads the full entry.
+  EXPECT_TRUE(cache.fits(engine, Algorithm::MM, Scheme::kSRS, 3, 64, storage));
+  EXPECT_FALSE(cache.fits(engine, Algorithm::MM, Scheme::kSRS, 3, 64, 2));
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().boundRejects, 3u);
+
+  // MMS makes one schedule, so there is nothing to clip: it evaluates.
+  EXPECT_EQ(cache.fits(engine, Algorithm::MM, Scheme::kMMS, 3, 64, 3),
+            evaluatePass(engine, Algorithm::MM, Scheme::kMMS, 3, 64)
+                    .storageUnits <= 3);
+  EXPECT_EQ(cache.stats().misses, 2u);
+
+  cache.clear();
+  EXPECT_EQ(cache.stats().boundRejects, 0u);
+  EXPECT_TRUE(cache.fits(engine, Algorithm::MM, Scheme::kSRS, 3, 64, storage));
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+// Concurrent fits() over overlapping keys and caps through one shared
+// cache: full entries and floors are written while other threads read them.
+TEST(PassCacheAccounting, ConcurrentFitsIsConsistent) {
+  MdstEngine engine = engineFor("2:1:1:1:1:1:9");
+  PassCache cache;
+  runtime::ThreadPool pool(4);
+  const auto demandOf = [](std::uint64_t i) { return 8 + 7 * (i % 6); };
+  const auto capOf = [](std::uint64_t i) {
+    return static_cast<unsigned>(1 + (i / 6) % 5);
+  };
+  std::vector<char> fits(90);
+  pool.forEach(fits.size(), [&](std::uint64_t i) {
+    fits[i] = cache.fits(engine, Algorithm::MM, Scheme::kSRS, 3, demandOf(i),
+                         capOf(i));
+  });
+  for (std::size_t i = 0; i < fits.size(); ++i) {
+    const unsigned storage =
+        evaluatePass(engine, Algorithm::MM, Scheme::kSRS, 3, demandOf(i))
+            .storageUnits;
+    EXPECT_EQ(fits[i] != 0, storage <= capOf(i))
+        << "demand " << demandOf(i) << " cap " << capOf(i);
+  }
+  const PassCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.evaluations() + stats.boundRejects, fits.size());
+}
+
 TEST(PassKeyHash, DistinctOverSweepGrid) {
   // The exact key grid a planner sweep touches: every (algorithm, scheme,
   // mixers, demand) combination must hash distinctly — 64-bit collisions on

@@ -502,7 +502,8 @@ int cmdStream(const Args& args, const Ratio& ratio) {
   if (args.has("stats")) {
     const engine::PassCacheStats stats = cache.stats();
     std::cout << "pass cache: " << stats.hits << " hits, " << stats.misses
-              << " misses; stage times (ms): forest "
+              << " misses, " << stats.boundRejects
+              << " bound rejects; stage times (ms): forest "
               << report::fixed(static_cast<double>(stats.buildNanos) / 1e6, 2)
               << ", schedule "
               << report::fixed(
