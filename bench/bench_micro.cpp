@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark): construction and scheduling
 // throughput of the library's hot paths. After the google-benchmark run,
-// main() takes wall-clock measurements of the parallel GA and the timed
-// router and emits them through the BENCH_<name>.json harness
-// (bench_obs.h), so speedups are diffable across commits.
+// main() takes wall-clock measurements of the GA, the demand ladder, the
+// journal and the timed router and emits them through the BENCH_<name>.json
+// harness (bench_obs.h), so timings are diffable across commits.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -30,7 +30,6 @@
 #include "protocols/protocols.h"
 #include "server/service.h"
 #include "runtime/arena.h"
-#include "runtime/thread_pool.h"
 #include "sched/ga_scheduler.h"
 #include "sched/heterogeneous.h"
 #include "sched/schedulers.h"
@@ -197,22 +196,6 @@ void BM_ScheduleGA(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScheduleGA);
-
-// GA fitness evaluation fanned out over N pool workers; the schedule is
-// byte-identical for every N, only the wall clock moves.
-void BM_ScheduleGAJobs(benchmark::State& state) {
-  const mixgraph::MixingGraph graph = mixgraph::buildMM(bigRatio());
-  const forest::TaskForest f(graph, 64);
-  sched::GaOptions options;
-  options.population = 32;
-  options.generations = 20;
-  runtime::ThreadPool pool(static_cast<unsigned>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sched::scheduleGA(f, 4, options, pool));
-  }
-}
-BENCHMARK(BM_ScheduleGAJobs)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 
 // One concurrent transport phase on an open 20x20 array: six droplets
 // crossing through the centre, so the occupancy index does real work.
@@ -428,9 +411,9 @@ ObsOverheadResult measureObsOverhead() {
 }
 
 // --- measured speedups, emitted as BENCH_bench_micro.json ----------------
-// Wall-clock gauges for the two hot paths this library parallelized /
-// de-allocated, over the Table-2/3 workloads (the five published protocol
-// forests). Speedup gauges are scaled x1000 (gauges are integers).
+// Wall-clock gauges for the library's hot paths; the GA runs over the
+// Table-2/3 workloads (the five published protocol forests). Scaled gauges
+// carry an _x1000 suffix (gauges are integers).
 
 void recordMeasuredSpeedups() {
   using clock = std::chrono::steady_clock;
@@ -438,31 +421,20 @@ void recordMeasuredSpeedups() {
   if (metrics == nullptr) return;
 
   // GA scheduling across the Table-2/3 forests (five published ratios,
-  // D = 32 and 64) at --jobs 1 vs --jobs 8.
-  std::vector<forest::TaskForest> forests;
-  for (const auto& protocol : protocols::publishedProtocols()) {
-    const mixgraph::MixingGraph graph = mixgraph::buildMM(protocol.ratio);
-    forests.emplace_back(graph, 32);
-    forests.emplace_back(graph, 64);
-  }
-  sched::GaOptions options;  // default pop 32 / gens 60
-  std::uint64_t serialNanos = 0;
-  std::uint64_t parallelNanos = 0;
-  for (const unsigned jobs : {1u, 8u}) {
-    runtime::ThreadPool pool(jobs);
+  // D = 32 and 64).
+  {
+    std::vector<forest::TaskForest> forests;
+    for (const auto& protocol : protocols::publishedProtocols()) {
+      const mixgraph::MixingGraph graph = mixgraph::buildMM(protocol.ratio);
+      forests.emplace_back(graph, 32);
+      forests.emplace_back(graph, 64);
+    }
+    const sched::GaOptions options;  // default pop 32 / gens 60
     const auto start = clock::now();
     for (const forest::TaskForest& f : forests) {
-      benchmark::DoNotOptimize(sched::scheduleGA(f, 4, options, pool));
+      benchmark::DoNotOptimize(sched::scheduleGA(f, 4, options));
     }
-    const std::uint64_t nanos = nanosSince(start);
-    (jobs == 1 ? serialNanos : parallelNanos) = nanos;
-    metrics->gauge(jobs == 1 ? "bench.ga.table23_jobs1_nanos"
-                             : "bench.ga.table23_jobs8_nanos")
-        .set(nanos);
-  }
-  if (parallelNanos > 0) {
-    metrics->gauge("bench.ga.table23_speedup_x1000")
-        .set(serialNanos * 1000 / parallelNanos);
+    metrics->gauge("bench.ga.table23_jobs1_nanos").set(nanosSince(start));
   }
 
   // Demand-ladder sweep (the optimized streaming planner's hot loop): the

@@ -8,8 +8,7 @@
 //
 // One persistent engine + PassCache per accuracy level: the 12 cells of a
 // level share every candidate-pass evaluation (the same D' forests recur
-// across caps and demands), and `--jobs N` fans candidate evaluation out
-// inside each planning call. Output is identical for every job count.
+// across caps and demands).
 #include <iostream>
 #include <map>
 #include <memory>
@@ -25,13 +24,6 @@
 int main(int argc, char** argv) {
   const dmf::bench::BenchSession benchObs("table4_streaming", argc, argv);
   using namespace dmf;
-
-  unsigned jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<unsigned>(std::stoul(argv[++i]));
-    }
-  }
 
   std::cout << "# Table 4 — PCR master-mix streaming, 3 mixers, capped "
                "storage\n# cell format: passes (total cycles, total waste)\n\n";
@@ -70,7 +62,6 @@ int main(int argc, char** argv) {
         request.demand = demand;
         request.storageCap = cap;
         request.mixers = 3;
-        request.jobs = jobs;
         try {
           const engine::StreamingPlan plan =
               planStreaming(*level.engine, request, level.cache);
@@ -86,8 +77,7 @@ int main(int argc, char** argv) {
   }
   std::cout << table.render();
 
-  // Cache accounting goes to stderr: parallel prefetching changes the
-  // hit/miss split, and stdout must stay byte-identical for every --jobs.
+  // Cache accounting goes to stderr, so stdout stays a diffable table.
   for (unsigned d : {4u, 5u, 6u}) {
     const engine::PassCacheStats stats = levels[d].cache.stats();
     std::cerr << "d=" << d << " pass cache: " << stats.hits << " hits, "

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -332,17 +333,22 @@ CheckResult Fuzzer::runCase(const FuzzCase& c) const {
                            0, out);
       checkScheduledForest(forest, oms, 0, out);
       checkSrsContract(forest, srs, mms, out);
-      // The streaming search's storage-cap probe may only prove "exceeds"
-      // when SRS really stores more: at the case's cap, and at SRS's own
-      // storage, which it must never claim to exceed.
+      // The capped SRS may return nullopt only when SRS really stores
+      // more, and must otherwise return SRS's own schedule: at the case's
+      // cap, and at SRS's own storage, which it must never claim to exceed.
       const unsigned srsStorage = sched::countStorage(forest, srs);
       for (const unsigned cap : {c.storageCap, srsStorage}) {
         ++out.checksRun;
-        if (srsStorage <= cap &&
-            sched::srsStorageExceeds(forest, mixers, cap)) {
-          out.fail("srs-bound", "check proves storage > " +
+        const std::optional<sched::Schedule> capped =
+            sched::scheduleSRS(forest, mixers, cap);
+        if (!capped.has_value() && srsStorage <= cap) {
+          out.fail("srs-bound", "capped SRS proves storage > " +
                                     std::to_string(cap) + ", SRS stores " +
                                     std::to_string(srsStorage));
+        } else if (capped.has_value() && (capped->cycles != srs.cycles ||
+                                          capped->mixers != srs.mixers)) {
+          out.fail("srs-bound", "capped SRS at cap " + std::to_string(cap) +
+                                    " differs from the uncapped schedule");
         }
       }
       // Differential: a unit MixerBank must reduce exactly to the paper's
@@ -395,15 +401,6 @@ CheckResult Fuzzer::runCase(const FuzzCase& c) const {
       try {
         const engine::StreamingPlan serial =
             engine::planStreaming(engine, request);
-        engine::StreamingRequest parallelRequest = request;
-        parallelRequest.jobs = 4;
-        const engine::StreamingPlan threaded =
-            engine::planStreaming(engine, parallelRequest);
-        ++out.checksRun;
-        if (engine::toJson(serial).dump() != engine::toJson(threaded).dump()) {
-          out.fail("jobs-identical",
-                   "planStreaming JSON differs between --jobs 1 and 4");
-        }
         checkStreamingPlan(engine, request, serial, out);
         // Round-trip: toJson -> dump -> parse -> fromJson -> toJson must
         // reproduce the original bytes (journal resume depends on it).
@@ -417,6 +414,17 @@ CheckResult Fuzzer::runCase(const FuzzCase& c) const {
         }
         const engine::StreamingPlan optimized =
             engine::planStreamingOptimized(engine, request);
+        engine::StreamingRequest parallelRequest = request;
+        parallelRequest.jobs = 4;
+        const engine::StreamingPlan threaded =
+            engine::planStreamingOptimized(engine, parallelRequest);
+        ++out.checksRun;
+        if (engine::toJson(optimized).dump() !=
+            engine::toJson(threaded).dump()) {
+          out.fail("jobs-identical",
+                   "planStreamingOptimized JSON differs between --jobs 1 "
+                   "and 4");
+        }
         checkStreamingPlan(engine, request, optimized, out);
         ++out.checksRun;
         if (optimized.totalCycles > serial.totalCycles) {

@@ -36,7 +36,7 @@ BaselineResult runRepeatedBaseline(const MdstEngine& engine,
   // One pass: the base graph at demand 2 (its natural two-droplet emission),
   // optimally scheduled. Every later pass is identical.
   const StreamingPass pass =
-      evaluatePass(engine, algorithm, Scheme::kOMS, mc, 2);
+      *evaluatePass(engine, algorithm, Scheme::kOMS, mc, 2);
   return fromBasePass(pass, demand, mc);
 }
 

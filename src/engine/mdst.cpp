@@ -83,7 +83,14 @@ void recordScheduleObservability(const TaskForest& forest,
 
 sched::Schedule schedule(const TaskForest& forest, Scheme scheme,
                          unsigned mixers) {
-  const sched::Schedule s = [&] {
+  return *schedule(forest, scheme, mixers, std::nullopt);
+}
+
+std::optional<sched::Schedule> schedule(const TaskForest& forest,
+                                        Scheme scheme, unsigned mixers,
+                                        std::optional<unsigned> cap) {
+  std::optional<sched::Schedule> s =
+      [&]() -> std::optional<sched::Schedule> {
     switch (scheme) {
       case Scheme::kMMS: {
         const obs::Span span("sched.MMS", "sched");
@@ -91,6 +98,7 @@ sched::Schedule schedule(const TaskForest& forest, Scheme scheme,
       }
       case Scheme::kSRS: {
         const obs::Span span("sched.SRS", "sched");
+        if (cap.has_value()) return sched::scheduleSRS(forest, mixers, *cap);
         return sched::scheduleSRS(forest, mixers);
       }
       case Scheme::kOMS: {
@@ -100,7 +108,7 @@ sched::Schedule schedule(const TaskForest& forest, Scheme scheme,
     }
     throw std::invalid_argument("schedule: unknown scheme");
   }();
-  recordScheduleObservability(forest, s);
+  if (s.has_value()) recordScheduleObservability(forest, *s);
   return s;
 }
 

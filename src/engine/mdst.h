@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "dmf/ratio.h"
@@ -27,6 +28,13 @@ enum class Scheme {
 /// Runs the selected scheduler on a forest.
 [[nodiscard]] sched::Schedule schedule(const forest::TaskForest& forest,
                                        Scheme scheme, unsigned mixers);
+
+/// As above under an optional storage cap: SRS returns nullopt when it
+/// provably stores more than `cap` (the capped sched::scheduleSRS); every
+/// other answer is the uncapped schedule.
+[[nodiscard]] std::optional<sched::Schedule> schedule(
+    const forest::TaskForest& forest, Scheme scheme, unsigned mixers,
+    std::optional<unsigned> cap);
 
 /// Everything the paper reports about one MDST run.
 struct MdstResult {

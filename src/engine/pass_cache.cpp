@@ -49,10 +49,12 @@ std::size_t PassKeyHash::operator()(const PassKey& key) const noexcept {
   return static_cast<std::size_t>(avalanche(h));
 }
 
-StreamingPass evaluatePass(const MdstEngine& engine,
-                           mixgraph::Algorithm algorithm, Scheme scheme,
-                           unsigned mixers, std::uint64_t demand,
-                           PassCacheStats* stageNanos) {
+std::optional<StreamingPass> evaluatePass(const MdstEngine& engine,
+                                          mixgraph::Algorithm algorithm,
+                                          Scheme scheme, unsigned mixers,
+                                          std::uint64_t demand,
+                                          std::optional<unsigned> cap,
+                                          PassCacheStats* stageNanos) {
   const mixgraph::MixingGraph& graph = engine.baseGraph(algorithm);
   auto start = std::chrono::steady_clock::now();
   const forest::TaskForest f = [&] {
@@ -62,19 +64,20 @@ StreamingPass evaluatePass(const MdstEngine& engine,
   const std::uint64_t buildNanos = nanosSince(start);
 
   start = std::chrono::steady_clock::now();
-  const sched::Schedule s = [&] {
+  const std::optional<sched::Schedule> s = [&] {
     const obs::Span span("engine.schedule");
-    return schedule(f, scheme, mixers);
+    return schedule(f, scheme, mixers, cap);
   }();
   const std::uint64_t scheduleNanos = nanosSince(start);
+  if (!s.has_value()) return std::nullopt;
 
   start = std::chrono::steady_clock::now();
   StreamingPass pass;
   {
     const obs::Span span("engine.storage_count");
     pass.demand = demand;
-    pass.cycles = s.completionTime;
-    pass.storageUnits = sched::countStorage(f, s);
+    pass.cycles = s->completionTime;
+    pass.storageUnits = sched::countStorage(f, *s);
     pass.waste = f.stats().waste;
     pass.inputDroplets = f.stats().inputTotal;
     pass.mixSplits = f.stats().mixSplits;
@@ -101,7 +104,21 @@ StreamingPass evaluatePass(const MdstEngine& engine,
 StreamingPass PassCache::evaluate(const MdstEngine& engine,
                                   mixgraph::Algorithm algorithm, Scheme scheme,
                                   unsigned mixers, std::uint64_t demand) {
-  const PassKey key{algorithm, scheme, mixers, demand};
+  return *probe(engine, {algorithm, scheme, mixers, demand}, std::nullopt);
+}
+
+bool PassCache::fits(const MdstEngine& engine, mixgraph::Algorithm algorithm,
+                     Scheme scheme, unsigned mixers, std::uint64_t demand,
+                     unsigned cap) {
+  const std::optional<StreamingPass> pass =
+      probe(engine, {algorithm, scheme, mixers, demand}, cap);
+  return pass.has_value() && pass->storageUnits <= cap;
+}
+
+std::optional<StreamingPass> PassCache::probe(const MdstEngine& engine,
+                                              const PassKey& key,
+                                              std::optional<unsigned> cap) {
+  bool floorExceeds = false;
   {
     const std::shared_lock<std::shared_mutex> lock(mutex_);
     const auto it = entries_.find(key);
@@ -110,65 +127,43 @@ StreamingPass PassCache::evaluate(const MdstEngine& engine,
       obs::count("engine.pass_cache.hits");
       return it->second;
     }
+    if (cap.has_value()) {
+      const auto floor = floors_.find(key);
+      floorExceeds = floor != floors_.end() && floor->second >= *cap;
+    }
   }
+
+  const auto reject = [this] {
+    boundRejects_.add(1);
+    obs::count("engine.pass_cache.bound_rejects");
+    return std::optional<StreamingPass>();
+  };
+  if (floorExceeds) return reject();
 
   // Compute outside any lock: two threads racing on the same key both pay
   // the evaluation (rare, harmless — the value is a pure function of the
   // key) rather than serializing every miss.
   PassCacheStats stage;
-  const StreamingPass pass =
-      evaluatePass(engine, algorithm, scheme, mixers, demand, &stage);
+  const std::optional<StreamingPass> pass = evaluatePass(
+      engine, key.algorithm, key.scheme, key.mixers, key.demand, cap, &stage);
+  if (!pass.has_value()) {
+    {
+      const std::unique_lock<std::shared_mutex> lock(mutex_);
+      unsigned& floor = floors_[key];
+      floor = std::max(floor, *cap);
+    }
+    return reject();
+  }
   misses_.add(1);
   obs::count("engine.pass_cache.misses");
   buildNanos_.add(stage.buildNanos);
   scheduleNanos_.add(stage.scheduleNanos);
   storageNanos_.add(stage.storageNanos);
-
   {
     const std::unique_lock<std::shared_mutex> lock(mutex_);
-    entries_.emplace(key, pass);
+    entries_.emplace(key, *pass);
   }
   return pass;
-}
-
-bool PassCache::fits(const MdstEngine& engine, mixgraph::Algorithm algorithm,
-                     Scheme scheme, unsigned mixers, std::uint64_t demand,
-                     unsigned cap) {
-  const PassKey key{algorithm, scheme, mixers, demand};
-  bool exceeds = false;
-  {
-    const std::shared_lock<std::shared_mutex> lock(mutex_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      hits_.add(1);
-      obs::count("engine.pass_cache.hits");
-      return it->second.storageUnits <= cap;
-    }
-    const auto floor = floors_.find(key);
-    exceeds = floor != floors_.end() && floor->second >= cap;
-  }
-
-  // MMS and OMS make a single schedule, so there is no cheaper run to clip:
-  // only SRS probes get the bound check.
-  if (!exceeds && scheme == Scheme::kSRS) {
-    exceeds = [&] {
-      const obs::Span span("engine.bound_check");
-      const forest::TaskForest f(engine.baseGraph(algorithm), demand);
-      return sched::srsStorageExceeds(f, mixers, cap);
-    }();
-    if (exceeds) {
-      const std::unique_lock<std::shared_mutex> lock(mutex_);
-      unsigned& floor = floors_[key];
-      floor = std::max(floor, cap);
-    }
-  }
-  if (!exceeds) {
-    return evaluate(engine, algorithm, scheme, mixers, demand).storageUnits <=
-           cap;
-  }
-  boundRejects_.add(1);
-  obs::count("engine.pass_cache.bound_rejects");
-  return false;
 }
 
 std::optional<StreamingPass> PassCache::lookup(const PassKey& key) const {

@@ -9,8 +9,8 @@
 //
 // The streaming search mostly asks a narrower question — does the pass fit
 // the storage cap? — and most of its probes are far over the cap. fits()
-// answers those without a full evaluation where it can prove the pass
-// exceeds the cap, remembering per key the largest cap proven exceeded.
+// runs the same evaluation with the cap, which stops once it proves the pass
+// exceeds the cap, and remembers per key the largest cap proven exceeded.
 //
 // A PassCache holds results for ONE target ratio: callers key caches per
 // MdstEngine (the key does not include the ratio). Sharing a cache between
@@ -49,7 +49,7 @@ struct PassCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   /// fits() probes answered "exceeds the cap" without a full evaluation:
-  /// proven by the SRS bound check or read from the floor memo.
+  /// proven by the capped sched::scheduleSRS or read from the floor memo.
   std::uint64_t boundRejects = 0;
   /// Per-stage wall time of all cache misses, in nanoseconds.
   std::uint64_t buildNanos = 0;     ///< TaskForest construction
@@ -75,9 +75,11 @@ class PassCache {
 
   /// Whether the pass of `demand` droplets stores at most `cap` units.
   /// Answers from the first source that settles it: a memoized full pass;
-  /// the floor memo (the largest cap this key is proven to exceed); for SRS,
-  /// sched::srsStorageExceeds on the pass forest; otherwise evaluate(). The
-  /// answer always equals evaluate(...).storageUnits <= cap. Thread-safe.
+  /// the floor memo (the largest cap this key is proven to exceed); one
+  /// evaluatePass with the cap, which either proves the pass over the cap
+  /// (recorded in the floor memo, counted as a bound reject) or memoizes the
+  /// full pass (counted as a miss). The answer always equals
+  /// evaluate(...).storageUnits <= cap. Thread-safe.
   [[nodiscard]] bool fits(const MdstEngine& engine,
                           mixgraph::Algorithm algorithm, Scheme scheme,
                           unsigned mixers, std::uint64_t demand, unsigned cap);
@@ -95,6 +97,12 @@ class PassCache {
   void clear();
 
  private:
+  /// The one lookup-or-evaluate path behind evaluate() (no cap) and fits().
+  /// nullopt only when the pass is proven to store more than `cap`.
+  [[nodiscard]] std::optional<StreamingPass> probe(
+      const MdstEngine& engine, const PassKey& key,
+      std::optional<unsigned> cap);
+
   mutable std::shared_mutex mutex_;
   std::unordered_map<PassKey, StreamingPass, PassKeyHash> entries_;
   /// Floor memo: the largest cap each key's SRS storage is proven to exceed.
@@ -113,11 +121,15 @@ class PassCache {
 
 /// Uncached single-pass evaluation (what the cache runs on a miss): builds
 /// the demand-droplet forest, schedules it with `scheme`, counts storage.
-/// `stageNanos`, when non-null, receives the per-stage wall times of this call.
-[[nodiscard]] StreamingPass evaluatePass(const MdstEngine& engine,
-                                         mixgraph::Algorithm algorithm,
-                                         Scheme scheme, unsigned mixers,
-                                         std::uint64_t demand,
-                                         PassCacheStats* stageNanos = nullptr);
+/// With a `cap`, an SRS pass that provably stores more than `cap` returns
+/// nullopt (the capped sched::scheduleSRS, which then skips the refinement);
+/// every other call returns the full pass, the same with or without a cap.
+/// `stageNanos`, when non-null, receives the per-stage wall times of a full
+/// pass.
+[[nodiscard]] std::optional<StreamingPass> evaluatePass(
+    const MdstEngine& engine, mixgraph::Algorithm algorithm, Scheme scheme,
+    unsigned mixers, std::uint64_t demand,
+    std::optional<unsigned> cap = std::nullopt,
+    PassCacheStats* stageNanos = nullptr);
 
 }  // namespace dmf::engine

@@ -4,7 +4,6 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
-#include <vector>
 
 #include "dmf/errors.h"
 #include "engine/pass_cache.h"
@@ -73,7 +72,6 @@ struct PlanContext {
   const StreamingRequest& request;
   unsigned mixers;
   PassCache& cache;
-  runtime::ThreadPool& pool;
 
   [[nodiscard]] StreamingPass eval(std::uint64_t demand) const {
     return cache.evaluate(engine, request.algorithm, request.scheme, mixers,
@@ -83,44 +81,16 @@ struct PlanContext {
     return cache.fits(engine, request.algorithm, request.scheme, mixers,
                       demand, request.storageCap);
   }
-  /// Warms the cache for a batch of candidate demands over the pool.
-  /// Purely a wall-time optimization: every decision below re-reads through
-  /// feasible() and eval(), whose answers are a function of the key and cap
-  /// alone, so plans are identical with any job count. Gated on a real pool
-  /// because a serial prefetch would probe candidates the descending scan
-  /// may never reach.
-  void prefetch(const std::vector<std::uint64_t>& demands) const {
-    if (pool.jobs() <= 1 || demands.size() <= 1) return;
-    pool.forEach(demands.size(), [this, &demands](std::uint64_t i) {
-      (void)feasible(demands[i]);
-    });
-  }
 };
 
-// Largest feasible demand in [floor, upper], scanning downward; evaluates
-// chunks of candidates in parallel, then inspects them in descending order
-// so the answer is deterministic. Returns nullopt when none is feasible.
+// Largest feasible demand in [floor, upper], scanning downward. Returns
+// nullopt when none is feasible.
 std::optional<std::uint64_t> largestFeasibleDescending(const PlanContext& ctx,
                                                        std::uint64_t floor,
                                                        std::uint64_t upper) {
-  const std::uint64_t chunk =
-      std::max<std::uint64_t>(1, std::uint64_t{ctx.pool.jobs()} * 4);
-  std::uint64_t high = upper;
-  while (high >= floor) {
-    const std::uint64_t low =
-        (high - floor + 1 > chunk) ? high - chunk + 1 : floor;
-    std::vector<std::uint64_t> batch;
-    batch.reserve(high - low + 1);
-    for (std::uint64_t d = high;; --d) {
-      batch.push_back(d);
-      if (d == low) break;
-    }
-    ctx.prefetch(batch);
-    for (const std::uint64_t d : batch) {
-      if (ctx.feasible(d)) return d;
-    }
-    if (low == floor) break;
-    high = low - 1;
+  for (std::uint64_t d = upper; d >= floor; --d) {
+    if (ctx.feasible(d)) return d;
+    if (d == floor) break;
   }
   return std::nullopt;
 }
@@ -132,18 +102,6 @@ std::uint64_t largestFeasiblePerPass(const PlanContext& ctx,
                                      std::uint64_t demand) {
   if (ctx.feasible(demand)) return demand;  // single pass serves everything
   if (minPass >= demand) return minPass;
-
-  // Warm the cache along the bisection's likely path.
-  if (ctx.pool.jobs() > 1) {
-    const std::uint64_t span = demand - minPass;
-    const std::uint64_t samples =
-        std::min<std::uint64_t>(std::uint64_t{ctx.pool.jobs()} * 4, span);
-    std::vector<std::uint64_t> grid;
-    for (std::uint64_t i = 0; i < samples; ++i) {
-      grid.push_back(minPass + span * (i + 1) / (samples + 1));
-    }
-    ctx.prefetch(grid);
-  }
 
   // Bisection assuming storage grows with demand.
   std::uint64_t lo = minPass;
@@ -175,10 +133,17 @@ std::uint64_t largestFeasiblePerPass(const PlanContext& ctx,
       .value_or(candidate);
 }
 
-StreamingPlan planStreamingImpl(const MdstEngine& engine,
-                                const StreamingRequest& request,
-                                PassCache& cache,
-                                runtime::ThreadPool& pool) {
+}  // namespace
+
+StreamingPlan planStreaming(const MdstEngine& engine,
+                            const StreamingRequest& request) {
+  PassCache cache;
+  return planStreaming(engine, request, cache);
+}
+
+StreamingPlan planStreaming(const MdstEngine& engine,
+                            const StreamingRequest& request,
+                            PassCache& cache) {
   const obs::Span span("engine.plan_streaming");
   if (request.demand == 0) {
     throw std::invalid_argument("planStreaming: demand must be positive");
@@ -186,7 +151,7 @@ StreamingPlan planStreamingImpl(const MdstEngine& engine,
   const unsigned mixers =
       request.mixers == 0 ? engine.defaultMixers() : request.mixers;
   const std::uint64_t demand = request.demand;
-  const PlanContext ctx{engine, request, mixers, cache, pool};
+  const PlanContext ctx{engine, request, mixers, cache};
 
   const std::uint64_t minPass = std::min<std::uint64_t>(demand, 2);
   if (!ctx.feasible(minPass)) {
@@ -226,10 +191,15 @@ StreamingPlan planStreamingImpl(const MdstEngine& engine,
   return plan;
 }
 
-StreamingPlan planStreamingOptimizedImpl(const MdstEngine& engine,
-                                         const StreamingRequest& request,
-                                         PassCache& cache,
-                                         runtime::ThreadPool& pool) {
+StreamingPlan planStreamingOptimized(const MdstEngine& engine,
+                                     const StreamingRequest& request) {
+  PassCache cache;
+  return planStreamingOptimized(engine, request, cache);
+}
+
+StreamingPlan planStreamingOptimized(const MdstEngine& engine,
+                                     const StreamingRequest& request,
+                                     PassCache& cache) {
   const obs::Span span("engine.plan_streaming_optimized");
   if (request.demand == 0) {
     throw std::invalid_argument(
@@ -244,42 +214,34 @@ StreamingPlan planStreamingOptimizedImpl(const MdstEngine& engine,
   const unsigned mixers =
       request.mixers == 0 ? engine.defaultMixers() : request.mixers;
   const std::uint64_t demand = request.demand;
-  const PlanContext ctx{engine, request, mixers, cache, pool};
+  const PlanContext ctx{engine, request, mixers, cache};
 
-  // The reduction below evaluates every candidate D' in [1, D] in ascending
-  // order, and each remainder D mod D' < D' is cached by the time it is
-  // read, so a serial run has nothing to warm. With workers, evaluate the
-  // whole range in parallel first; the reduction then only reads hits.
-  if (pool.jobs() > 1) {
-    pool.forEach(demand, [&ctx](std::uint64_t i) { (void)ctx.eval(i + 1); });
+  // The reduction below asks fits() for every candidate D' in [1, D] in
+  // ascending order before it evaluates one, and each remainder D mod D' <
+  // D' is settled by the time it is read, so a serial run has nothing to
+  // warm. With workers, settle the whole range in parallel first; the
+  // reduction then only reads entries and the floor memo.
+  const unsigned jobs = runtime::ThreadPool::resolveJobs(request.jobs);
+  if (jobs > 1) {
+    runtime::ThreadPool pool(jobs);
+    pool.forEach(demand,
+                 [&ctx](std::uint64_t i) { (void)ctx.feasible(i + 1); });
   }
 
+  const auto better = [](const StreamingPlan& a, const StreamingPlan& b) {
+    if (a.totalCycles != b.totalCycles) return a.totalCycles < b.totalCycles;
+    if (a.totalWaste != b.totalWaste) return a.totalWaste < b.totalWaste;
+    return a.passes.size() < b.passes.size();
+  };
   std::optional<StreamingPlan> best;
   for (std::uint64_t perPass = 1;; ++perPass) {
-    const StreamingPass full = ctx.eval(perPass);
-    if (full.storageUnits <= request.storageCap) {
-      const std::uint64_t remainder = demand % perPass;
+    const std::uint64_t remainder = demand % perPass;
+    if (ctx.feasible(perPass) && (remainder == 0 || ctx.feasible(remainder))) {
       std::optional<StreamingPass> last;
-      bool remainderFits = true;
-      if (remainder > 0) {
-        last = ctx.eval(remainder);
-        remainderFits = last->storageUnits <= request.storageCap;
-      }
-      if (remainderFits) {
-        StreamingPlan plan =
-            assemblePlan(perPass, mixers, full, last, demand / perPass);
-        const auto better = [](const StreamingPlan& a,
-                               const StreamingPlan& b) {
-          if (a.totalCycles != b.totalCycles) {
-            return a.totalCycles < b.totalCycles;
-          }
-          if (a.totalWaste != b.totalWaste) return a.totalWaste < b.totalWaste;
-          return a.passes.size() < b.passes.size();
-        };
-        if (!best.has_value() || better(plan, *best)) {
-          best = std::move(plan);
-        }
-      }
+      if (remainder > 0) last = ctx.eval(remainder);
+      StreamingPlan plan = assemblePlan(perPass, mixers, ctx.eval(perPass),
+                                        last, demand / perPass);
+      if (!best.has_value() || better(plan, *best)) best = std::move(plan);
     }
     if (perPass == demand) break;
   }
@@ -290,34 +252,6 @@ StreamingPlan planStreamingOptimizedImpl(const MdstEngine& engine,
   }
   recordPlanObservability(*best);
   return *best;
-}
-
-}  // namespace
-
-StreamingPlan planStreaming(const MdstEngine& engine,
-                            const StreamingRequest& request) {
-  PassCache cache;
-  return planStreaming(engine, request, cache);
-}
-
-StreamingPlan planStreaming(const MdstEngine& engine,
-                            const StreamingRequest& request,
-                            PassCache& cache) {
-  runtime::ThreadPool pool(runtime::ThreadPool::resolveJobs(request.jobs));
-  return planStreamingImpl(engine, request, cache, pool);
-}
-
-StreamingPlan planStreamingOptimized(const MdstEngine& engine,
-                                     const StreamingRequest& request) {
-  PassCache cache;
-  return planStreamingOptimized(engine, request, cache);
-}
-
-StreamingPlan planStreamingOptimized(const MdstEngine& engine,
-                                     const StreamingRequest& request,
-                                     PassCache& cache) {
-  runtime::ThreadPool pool(runtime::ThreadPool::resolveJobs(request.jobs));
-  return planStreamingOptimizedImpl(engine, request, cache, pool);
 }
 
 }  // namespace dmf::engine

@@ -52,8 +52,10 @@ struct StreamingRequest {
   unsigned storageCap = 0;
   /// Mixers; 0 = engine default (Mlb of the MM base tree).
   unsigned mixers = 0;
-  /// Worker threads for candidate evaluation; 1 = serial (the default),
-  /// 0 = one per hardware core. Results are identical for every value.
+  /// Worker threads for planStreamingOptimized's candidate sweep, the only
+  /// parallel step of a plan; 1 = serial (the default), 0 = one per
+  /// hardware core. planStreaming is serial and ignores it. Results are
+  /// identical for every value.
   unsigned jobs = 1;
 };
 
@@ -85,9 +87,11 @@ struct StreamingRequest {
 /// schedule disproportionately faster under a tight cap), so this variant
 /// evaluates every feasible per-pass demand and returns the plan with the
 /// fewest total cycles (ties broken toward less waste, then fewer passes).
-/// Candidate evaluation fans out over request.jobs workers through a sparse
-/// PassCache (no O(D) upfront allocation); the reduction is serial and
-/// ascending, so the result is identical for every job count. Same error
+/// Every candidate and remainder is first checked with PassCache::fits, so
+/// only the passes that fit are evaluated in full. With request.jobs > 1 a
+/// parallel sweep settles every candidate's fit first (no O(D) upfront
+/// allocation); the reduction is serial and ascending, so the result is
+/// identical for every job count. Same error
 /// behaviour as planStreaming, plus std::invalid_argument on a demand of
 /// UINT64_MAX (the inclusive candidate range would overflow).
 [[nodiscard]] StreamingPlan planStreamingOptimized(

@@ -61,8 +61,9 @@ struct ChipSpec {
 /// One user's protocol stream plus its scheduling weight.
 struct UserStream {
   Ratio ratio{std::vector<std::uint64_t>{1, 3}};
-  /// Streaming request (request.jobs is ignored — the dispatcher owns the
-  /// worker pool).
+  /// Streaming request. request.jobs is overridden to 1: users are planned
+  /// in parallel on the dispatcher's pool, so an optimized user's candidate
+  /// sweep runs serially inside it.
   engine::StreamingRequest request;
   /// Plan with planStreamingOptimized instead of planStreaming.
   bool optimize = false;

@@ -36,7 +36,7 @@ struct ActivePoolGuard {
 // makes destroying the stack-allocated Batch safe once active reaches zero.
 struct ThreadPool::Batch {
   std::uint64_t count = 0;
-  const std::function<void(std::uint64_t, unsigned)>* fn = nullptr;
+  const std::function<void(std::uint64_t)>* fn = nullptr;
   // The submitting thread's span context: workers adopt it so their spans
   // splice into the originating request's trace (zero ids when tracing is
   // off or the caller has no open span).
@@ -47,12 +47,12 @@ struct ThreadPool::Batch {
   std::exception_ptr error;
   std::uint64_t errorIndex = std::numeric_limits<std::uint64_t>::max();
 
-  void drain(unsigned worker) {
+  void drain() {
     while (true) {
       const std::uint64_t index = next.fetch_add(1, std::memory_order_relaxed);
       if (index >= count) return;
       try {
-        (*fn)(index, worker);
+        (*fn)(index);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(errorMutex);
         if (index < errorIndex) {
@@ -82,7 +82,7 @@ ThreadPool::ThreadPool(unsigned jobs)
     : jobs_(resolveJobs(jobs)), state_(std::make_unique<State>()) {
   workers_.reserve(jobs_ - 1);
   for (unsigned w = 1; w < jobs_; ++w) {
-    workers_.emplace_back([this, w] { workerLoop(w); });
+    workers_.emplace_back([this] { workerLoop(); });
   }
 }
 
@@ -103,7 +103,7 @@ unsigned ThreadPool::resolveJobs(unsigned requested) noexcept {
   return hw == 0 ? 1 : hw;
 }
 
-void ThreadPool::workerLoop(unsigned worker) {
+void ThreadPool::workerLoop() {
   std::uint64_t seen = 0;
   while (true) {
     Batch* batch = nullptr;
@@ -123,7 +123,7 @@ void ThreadPool::workerLoop(unsigned worker) {
       const obs::ContextGuard context(batch->context);
       const obs::Span span("pool.worker", "pool");
       const ActivePoolGuard guard(this);
-      batch->drain(worker);
+      batch->drain();
     }
     {
       const std::lock_guard<std::mutex> lock(state_->mutex);
@@ -132,9 +132,8 @@ void ThreadPool::workerLoop(unsigned worker) {
   }
 }
 
-void ThreadPool::forEachWorker(
-    std::uint64_t count,
-    const std::function<void(std::uint64_t, unsigned)>& fn) {
+void ThreadPool::forEach(std::uint64_t count,
+                         const std::function<void(std::uint64_t)>& fn) {
   if (count == 0) return;
   if (tActivePool == this) {
     throw std::logic_error(
@@ -142,7 +141,7 @@ void ThreadPool::forEachWorker(
   }
   if (jobs_ <= 1 || count == 1) {
     const ActivePoolGuard guard(this);
-    for (std::uint64_t i = 0; i < count; ++i) fn(i, 0);
+    for (std::uint64_t i = 0; i < count; ++i) fn(i);
     return;
   }
 
@@ -164,7 +163,7 @@ void ThreadPool::forEachWorker(
   {
     const obs::Span span("pool.worker", "pool");
     const ActivePoolGuard guard(this);
-    batch.drain(0);  // the calling thread works too
+    batch.drain();  // the calling thread works too
   }
 
   {
@@ -178,12 +177,6 @@ void ThreadPool::forEachWorker(
   if (batch.error) {
     std::rethrow_exception(batch.error);
   }
-}
-
-void ThreadPool::forEach(std::uint64_t count,
-                         const std::function<void(std::uint64_t)>& fn) {
-  forEachWorker(count,
-                [&fn](std::uint64_t index, unsigned /*worker*/) { fn(index); });
 }
 
 }  // namespace dmf::runtime

@@ -1,9 +1,10 @@
-// A small fixed-size thread pool shared by every parallel hot loop in the
-// library (streaming-pass evaluation, GA fitness batches, multi-target
-// planning). Deterministic by construction: forEach hands out indices
-// through an atomic counter and every index writes only its own result slot,
-// so callers that reduce in index order get bit-identical output for any job
-// count (including 1, which runs inline without spawning threads).
+// A small fixed-size thread pool shared by every parallel loop in the
+// library (the optimized streaming planner's candidate sweep, multi-target
+// planning and fleet planning). Deterministic by construction: forEach hands
+// out indices through an atomic counter and every index writes only its own
+// result slot, so callers that reduce in index order get bit-identical
+// output for any job count (including 1, which runs inline without spawning
+// threads).
 #pragma once
 
 #include <cstdint>
@@ -41,14 +42,6 @@ class ThreadPool {
   void forEach(std::uint64_t count,
                const std::function<void(std::uint64_t)>& fn);
 
-  /// As forEach, but fn also receives the id (in [0, jobs())) of the
-  /// participant running the index — the calling thread is participant 0.
-  /// Index-to-participant assignment is dynamic (work stealing), so the id
-  /// is only good for picking per-thread scratch, never for output slots.
-  void forEachWorker(
-      std::uint64_t count,
-      const std::function<void(std::uint64_t, unsigned)>& fn);
-
   /// Resolves a user-facing jobs request: 0 means hardware concurrency.
   [[nodiscard]] static unsigned resolveJobs(unsigned requested) noexcept;
 
@@ -56,7 +49,7 @@ class ThreadPool {
   struct Batch;
   struct State;
 
-  void workerLoop(unsigned worker);
+  void workerLoop();
 
   unsigned jobs_;
   std::vector<std::thread> workers_;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "obs/scope.h"
-#include "runtime/thread_pool.h"
 #include "sched/fitness_memo.h"
 #include "sched/schedulers.h"
 
@@ -24,11 +23,10 @@ namespace {
 // Lexicographic fitness: completion time, then storage. Smaller is better.
 using Score = std::pair<unsigned, unsigned>;
 
-// Reusable per-worker decode state: one allocation set per worker for the
-// whole GA run instead of one per fitness evaluation. The ready queue is a
-// keyed binary min-heap over (key, task) pairs — same pop order as the
-// std::set it replaces (ties broken by TaskId) without the per-node
-// rebalancing cost.
+// Reusable decode state: one allocation set for the whole GA run instead of
+// one per fitness evaluation. The ready queue is a keyed binary min-heap
+// over (key, task) pairs — same pop order as the std::set it replaces (ties
+// broken by TaskId) without the per-node rebalancing cost.
 struct DecodeScratch {
   std::vector<unsigned> pending;
   std::vector<std::vector<TaskId>> arrivals;
@@ -101,16 +99,16 @@ struct Individual {
   Score score;
 };
 
-// Scores every individual in [first, population.size()): memo lookups and
-// insertions run serially on the master thread (in index order, so the memo
-// contents are deterministic), only the missed decodes fan out over the
-// pool. Each pool participant reuses its own DecodeScratch.
+// Scores every individual in [first, population.size()): every memo lookup
+// first, then the missed decodes, then their insertions in index order, so
+// duplicates within one batch all decode and the memo contents and counters
+// are a function of the population alone. Decoding the batch before any
+// insertion keeps the insertions' key copies out of the decode loop, which
+// measured faster than interleaving them (DESIGN.md §10).
 class FitnessEvaluator {
  public:
-  FitnessEvaluator(const TaskForest& forest, unsigned mixers,
-                   runtime::ThreadPool& pool)
-      : forest_(forest), mixers_(mixers), pool_(pool),
-        scratch_(pool.jobs()) {}
+  FitnessEvaluator(const TaskForest& forest, unsigned mixers)
+      : forest_(forest), mixers_(mixers) {}
 
   void scoreTail(std::vector<Individual>& population, std::size_t first) {
     misses_.clear();
@@ -129,15 +127,10 @@ class FitnessEvaluator {
     if (const std::uint64_t c = memo_.collisions() - collisionsBefore) {
       obs::count("sched.ga.memo_collisions", c);
     }
-    if (misses_.empty()) return;
-    pool_.forEachWorker(
-        misses_.size(), [this, &population](std::uint64_t m, unsigned worker) {
-          Individual& ind = population[misses_[m]];
-          ind.score = evaluateWith(forest_, mixers_, ind.keys,
-                                   scratch_[worker]);
-        });
-    // Insertions stay serial and in index order on the master thread, so
-    // the memo contents are deterministic for every job count.
+    for (const std::size_t index : misses_) {
+      Individual& ind = population[index];
+      ind.score = evaluateWith(forest_, mixers_, ind.keys, scratch_);
+    }
     for (const std::size_t index : misses_) {
       memo_.insert(population[index].keys, population[index].score);
     }
@@ -146,8 +139,7 @@ class FitnessEvaluator {
  private:
   const TaskForest& forest_;
   unsigned mixers_;
-  runtime::ThreadPool& pool_;
-  std::vector<DecodeScratch> scratch_;
+  DecodeScratch scratch_;
   FitnessMemo<Score> memo_;
   std::vector<std::size_t> misses_;
 };
@@ -156,12 +148,6 @@ class FitnessEvaluator {
 
 Schedule scheduleGA(const TaskForest& forest, unsigned mixers,
                     const GaOptions& options) {
-  runtime::ThreadPool pool(runtime::ThreadPool::resolveJobs(options.jobs));
-  return scheduleGA(forest, mixers, options, pool);
-}
-
-Schedule scheduleGA(const TaskForest& forest, unsigned mixers,
-                    const GaOptions& options, runtime::ThreadPool& pool) {
   if (mixers == 0) {
     throw std::invalid_argument("scheduleGA: at least one mixer required");
   }
@@ -178,16 +164,15 @@ Schedule scheduleGA(const TaskForest& forest, unsigned mixers,
   }
   const obs::Span span("sched.ga", "sched");
 
-  // All randomness is drawn here, on the calling thread, in breeding order —
-  // the pool never touches the RNG, which is what keeps the run identical
-  // for every job count.
+  // All randomness is drawn here, in breeding order; scoring never touches
+  // the RNG.
   std::mt19937_64 rng(options.seed);
   std::uniform_real_distribution<double> uniform(0.0, 1.0);
   // Unbiased parent index draw (rng() % size would favour small indices).
   std::uniform_int_distribution<std::size_t> pickParent(
       0, options.population - 1);
 
-  FitnessEvaluator evaluator(forest, mixers, pool);
+  FitnessEvaluator evaluator(forest, mixers);
 
   std::vector<Individual> population;
   population.reserve(options.population);

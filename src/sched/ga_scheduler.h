@@ -8,21 +8,16 @@
 // second.
 //
 // Fitness evaluation is the hot loop (population × generations full forest
-// decodes) and fans out over a runtime::ThreadPool: chromosomes are bred
-// serially from the seeded master RNG, then scored in parallel with
-// per-worker decode scratch and a chromosome-hash memo cache, and reduced in
-// index order — so the returned schedule is byte-identical for every job
-// count.
+// decodes): chromosomes are bred from the seeded RNG, then scored with one
+// reusable decode scratch and a chromosome-hash memo cache. Scoring is
+// serial: a thread-pool fan-out of it measured no faster on the Table-2/3
+// forests (DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
 
 #include "forest/task_forest.h"
 #include "sched/schedule.h"
-
-namespace dmf::runtime {
-class ThreadPool;
-}  // namespace dmf::runtime
 
 namespace dmf::sched {
 
@@ -38,24 +33,14 @@ struct GaOptions {
   unsigned elites = 2;
   /// Per-gene probability of mutation (key resampled).
   double mutationRate = 0.05;
-  /// Worker threads for fitness evaluation; 1 = serial (the default),
-  /// 0 = one per hardware core. The result is identical for every value.
-  unsigned jobs = 1;
 };
 
 /// Runs the GA and returns the best schedule found (never worse than the
-/// plain critical-path seed individual). Deterministic for a fixed seed,
-/// for any options.jobs. Throws std::invalid_argument if mixers == 0 or
-/// options are degenerate (empty population, elites >= population).
+/// plain critical-path seed individual). Deterministic for a fixed seed.
+/// Throws std::invalid_argument if mixers == 0 or options are degenerate
+/// (empty population, elites >= population).
 [[nodiscard]] Schedule scheduleGA(const forest::TaskForest& forest,
                                   unsigned mixers,
                                   const GaOptions& options = {});
-
-/// As above with a caller-owned worker pool (overrides options.jobs); share
-/// one pool across schedulers and the streaming planner to keep a single
-/// set of worker threads per process.
-[[nodiscard]] Schedule scheduleGA(const forest::TaskForest& forest,
-                                  unsigned mixers, const GaOptions& options,
-                                  runtime::ThreadPool& pool);
 
 }  // namespace dmf::sched

@@ -379,7 +379,7 @@ struct CappedScratch {
   std::unordered_map<std::uint64_t, Run> runs;
   std::vector<Schedule> wins;
 
-  /// srsStorageExceeds' record of failed runs: each one settles the later
+  /// The clipped scan's record of failed runs: each one settles the later
   /// budgets in [passedMax, blockedMin).
   struct Settled {
     std::int64_t passedMax = 0;
@@ -647,9 +647,9 @@ namespace {
 
 /// SRS's candidate pool before refinement: the just-in-time schedule, then
 /// MMS (SRS must never store more than it, section 4.2.2) and the verbatim
-/// two-queue Algorithm 2, which is strong on wide forests. scheduleSRS
-/// refines from it and srsStorageExceeds bounds from it, so the two share
-/// every seed, budget and tie-break.
+/// two-queue Algorithm 2, which is strong on wide forests. The refinement
+/// and the capped scheduleSRS's clipped scan both start from it, so they
+/// share every seed, budget and tie-break.
 struct SrsPrelude {
   const TaskForest& forest;
   Schedule best;
@@ -694,19 +694,16 @@ SrsPrelude srsPrelude(const TaskForest& forest, unsigned mixers) {
   return pool;
 }
 
-}  // namespace
-
-Schedule scheduleSRS(const TaskForest& forest, unsigned mixers) {
-  SrsPrelude pool = srsPrelude(forest, mixers);
+// Refinement: storage-capped scheduling seeded with the prelude's best
+// schedule's order, scanning every cap below it (feasibility is not
+// monotone in the cap, so no bisection). Attempt (cap, window) succeeds
+// exactly when the run with admission budget cap + window completes within
+// the time budget parking at most `cap` droplets per cycle, so each budget
+// is simulated once and every attempt is answered from its peak
+// (DESIGN.md §15).
+Schedule refineSrs(SrsPrelude& pool, unsigned mixers) {
+  const TaskForest& forest = pool.forest;
   if (forest.taskCount() == 0) return std::move(pool.best);
-
-  // Refinement: storage-capped scheduling seeded with the current best
-  // schedule's order, scanning every cap below it (feasibility is not
-  // monotone in the cap, so no bisection). Attempt (cap, window) succeeds
-  // exactly when the run with admission budget cap + window completes
-  // within the time budget parking at most `cap` droplets per cycle, so each
-  // budget is simulated once and every attempt is answered from its peak
-  // (DESIGN.md §15).
   const unsigned timeBudget = pool.timeBudget();
   const std::vector<unsigned> seedCycles = pool.best.cycles;
   const unsigned capsScanned = pool.bestStorage;
@@ -751,19 +748,17 @@ Schedule scheduleSRS(const TaskForest& forest, unsigned mixers) {
   return std::move(pool.best);
 }
 
-bool srsStorageExceeds(const TaskForest& forest, unsigned mixers,
+// Whether the refinement of `pool` may end at most `cap` units of storage,
+// for a prelude that stores more. The refinement ends on the prelude's best
+// or on an adopted capped win, and a win's storage is its run's peak. So it
+// stores at most `cap` only if some refinement run — budget B at the first
+// cap c asking for it — parks at most `cap` droplets per cycle. Rerunning B
+// with its storage cap clipped to min(c, cap) succeeds exactly then, because
+// the cap test changes no state. Each failed run also settles the later
+// budgets sharing its trajectory: the scan descends, so their clipped caps
+// are no larger and they fail too (DESIGN.md §15). Reads the prelude only.
+bool clippedScanMayFit(const SrsPrelude& pool, unsigned mixers,
                        unsigned cap) {
-  const SrsPrelude pool = srsPrelude(forest, mixers);
-  if (pool.bestStorage <= cap) return false;
-
-  // scheduleSRS ends on the prelude's best or on an adopted capped win, and
-  // a win's storage is its run's peak. So it stores at most `cap` only if
-  // some refinement run — budget B at the first cap c asking for it — parks
-  // at most `cap` droplets per cycle. Rerunning B with its storage cap
-  // clipped to min(c, cap) succeeds exactly then, because the cap test
-  // changes no state. Each failed run also settles the later budgets sharing
-  // its trajectory: the scan descends, so their clipped caps are no larger
-  // and they fail too (DESIGN.md §15).
   const unsigned timeBudget = pool.timeBudget();
   CappedScratch& scratch = cappedScratch();
   std::vector<CappedScratch::Settled>& settled = scratch.settled;
@@ -782,7 +777,7 @@ bool srsStorageExceeds(const TaskForest& forest, unsigned mixers,
       limits.admission = admission;
       limits.storageCap = clipped;
       limits.deadline = timeBudget;
-      if (tryStorageCapped(forest, mixers, limits, pool.best.cycles,
+      if (tryStorageCapped(pool.forest, mixers, limits, pool.best.cycles,
                            scratch)) {
         fits = true;
         return;
@@ -791,7 +786,25 @@ bool srsStorageExceeds(const TaskForest& forest, unsigned mixers,
     });
   }
   obs::count("sched.srs.bound_runs", settled.size() + (fits ? 1 : 0));
-  return !fits;
+  return fits;
+}
+
+}  // namespace
+
+Schedule scheduleSRS(const TaskForest& forest, unsigned mixers) {
+  SrsPrelude pool = srsPrelude(forest, mixers);
+  return refineSrs(pool, mixers);
+}
+
+std::optional<Schedule> scheduleSRS(const TaskForest& forest, unsigned mixers,
+                                    unsigned cap) {
+  SrsPrelude pool = srsPrelude(forest, mixers);
+  // Adoption never raises storage, so a prelude within the cap needs no
+  // proof either way: the refinement can only end lower.
+  if (pool.bestStorage > cap && !clippedScanMayFit(pool, mixers, cap)) {
+    return std::nullopt;
+  }
+  return refineSrs(pool, mixers);
 }
 
 Schedule scheduleOMS(const TaskForest& forest, unsigned mixers) {

@@ -2,6 +2,8 @@
 // OMS baseline realized as critical-path (Hu) list scheduling.
 #pragma once
 
+#include <optional>
+
 #include "forest/task_forest.h"
 #include "sched/schedule.h"
 
@@ -24,14 +26,15 @@ namespace dmf::sched {
 [[nodiscard]] Schedule scheduleSRS(const forest::TaskForest& forest,
                                    unsigned mixers);
 
-/// Exact storage-cap probe for scheduleSRS: returns true only when
-/// countStorage(forest, scheduleSRS(forest, mixers)) > cap, and false when
-/// it cannot prove that ("not proven"; SRS may or may not fit). Runs SRS's
-/// candidate pool, then its refinement runs with their storage caps clipped
-/// to `cap`, skipping budgets a failed run already settles (DESIGN.md §15).
-/// Throws std::invalid_argument if mixers == 0.
-[[nodiscard]] bool srsStorageExceeds(const forest::TaskForest& forest,
-                                     unsigned mixers, unsigned cap);
+/// scheduleSRS under a storage cap: nullopt only when SRS provably stores
+/// more than `cap` units, otherwise exactly scheduleSRS(forest, mixers).
+/// Both answers start from one SRS prelude. A prelude over the cap first
+/// runs the refinement's budgets with their storage caps clipped to `cap`,
+/// skipping budgets a failed run already settles (DESIGN.md §15); if every
+/// clipped run fails, the refinement is skipped. Throws
+/// std::invalid_argument if mixers == 0.
+[[nodiscard]] std::optional<Schedule> scheduleSRS(
+    const forest::TaskForest& forest, unsigned mixers, unsigned cap);
 
 /// The verbatim two-queue pseudo-code of Algorithm 2 (Q_int Type-A/B highest
 /// level first, then Q_leaf Type-C lowest level first, greedily every cycle).

@@ -407,8 +407,8 @@ PlanService::Outcome PlanService::compute(const CanonicalRequest& request) {
     streaming.demand = request.demand;
     streaming.storageCap = request.storageCap;
     streaming.mixers = request.mixers;
-    // Serial inside one computation: the admission gate already runs up to
-    // `jobs` distinct requests concurrently.
+    // jobs drives only an optimized plan's candidate sweep. Keep it serial:
+    // the admission gate already runs up to `jobs` requests concurrently.
     streaming.jobs = 1;
     const engine::StreamingPlan plan =
         request.optimize ? engine::planStreamingOptimized(engine, streaming)

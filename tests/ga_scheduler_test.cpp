@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "mixgraph/builders.h"
-#include "runtime/thread_pool.h"
 #include "sched/fitness_memo.h"
 #include "sched/schedulers.h"
 
@@ -57,31 +56,6 @@ TEST(GaScheduler, DeterministicForSeed) {
     EXPECT_EQ(a.cycles[i], b.cycles[i]);
     EXPECT_EQ(a.mixers[i], b.mixers[i]);
   }
-}
-
-TEST(GaScheduler, ByteIdenticalAcrossJobs) {
-  // The --jobs guarantee, mirrored from the streaming planner: all RNG runs
-  // on the master thread and fitness results land in index-addressed slots,
-  // so the schedule is identical for every pool width.
-  MixingGraph g = buildMM(pcr());
-  TaskForest f(g, 24);
-  const Schedule base = scheduleGA(f, 3, quickOptions());
-  const auto expectSame = [&](const Schedule& s, const std::string& label) {
-    ASSERT_EQ(s.size(), base.size()) << label;
-    for (std::size_t i = 0; i < base.size(); ++i) {
-      EXPECT_EQ(s.cycles[i], base.cycles[i]) << label << " task " << i;
-      EXPECT_EQ(s.mixers[i], base.mixers[i]) << label << " task " << i;
-    }
-    EXPECT_EQ(s.completionTime, base.completionTime) << label;
-  };
-  for (const unsigned jobs : {2u, 4u}) {
-    runtime::ThreadPool pool(jobs);
-    expectSame(scheduleGA(f, 3, quickOptions(), pool),
-               "pool jobs=" + std::to_string(jobs));
-  }
-  GaOptions viaOptions = quickOptions();
-  viaOptions.jobs = 4;
-  expectSame(scheduleGA(f, 3, viaOptions), "options.jobs=4");
 }
 
 TEST(GaScheduler, PinnedGoldenForDefaultSeed) {

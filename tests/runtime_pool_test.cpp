@@ -1,12 +1,11 @@
 // The shared runtime thread pool: the forEach contract (index coverage,
-// reuse across batches, lowest-index exception, serial inline path), worker
-// ids, nested-use rejection, and jobs resolution.
+// reuse across batches, lowest-index exception, serial inline path),
+// nested-use rejection, and jobs resolution.
 #include "runtime/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -41,24 +40,6 @@ TEST(ThreadPool, SerialPoolSpawnsNoThreadsAndStillWorks) {
   std::uint64_t sum = 0;
   pool.forEach(100, [&](std::uint64_t i) { sum += i; });
   EXPECT_EQ(sum, 4950u);
-}
-
-TEST(ThreadPool, WorkerIdsStayInRange) {
-  ThreadPool pool(4);
-  std::vector<unsigned> worker(5000, 99);
-  pool.forEachWorker(worker.size(), [&](std::uint64_t i, unsigned w) {
-    worker[i] = w;
-  });
-  for (std::size_t i = 0; i < worker.size(); ++i) {
-    ASSERT_LT(worker[i], 4u) << "index " << i;
-  }
-}
-
-TEST(ThreadPool, SerialPoolRunsEverythingOnParticipantZero) {
-  ThreadPool pool(1);
-  std::set<unsigned> seen;
-  pool.forEachWorker(64, [&](std::uint64_t, unsigned w) { seen.insert(w); });
-  EXPECT_EQ(seen, std::set<unsigned>{0u});
 }
 
 TEST(ThreadPool, NestedForEachOnSamePoolThrows) {

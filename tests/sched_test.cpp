@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 
 #include "dmf/errors.h"
@@ -307,9 +308,12 @@ TEST(StorageCapped, CorpusScheduleHashPinned) {
   EXPECT_EQ(hash.value(), 0x4b16844c57b73857ull);
 }
 
-// srsStorageExceeds may answer "exceeds" only when scheduleSRS really stores
-// more than the cap, on every forest, mixer bank and cap. An unsound clip or
-// trajectory-sharing skip shows up here as an "exceeds" on a fitting pass.
+// The capped scheduleSRS may return nullopt only when scheduleSRS really
+// stores more than the cap, and otherwise returns scheduleSRS's schedule
+// exactly, on every forest, mixer bank and cap. An unsound clip or
+// trajectory-sharing skip shows up here as a nullopt on a fitting pass; a
+// scan that disturbed the prelude or the refinement's scratch shows up as a
+// schedule that differs.
 TEST(Srs, StorageExceedsCheckIsSound) {
   std::uint64_t exceeding = 0;
   std::uint64_t proven = 0;
@@ -319,10 +323,20 @@ TEST(Srs, StorageExceedsCheckIsSound) {
     for (std::uint64_t demand = 1; demand <= 96; ++demand) {
       const TaskForest f(g, demand);
       for (unsigned mixers : {mlb, 2u, 5u}) {
-        const unsigned storage = countStorage(f, scheduleSRS(f, mixers));
+        const Schedule srs = scheduleSRS(f, mixers);
+        const unsigned storage = countStorage(f, srs);
         for (unsigned cap = 0; cap <= 8; ++cap) {
           exceeding += storage > cap ? 1 : 0;
-          if (!srsStorageExceeds(f, mixers, cap)) continue;
+          const std::optional<Schedule> capped = scheduleSRS(f, mixers, cap);
+          if (capped.has_value()) {
+            EXPECT_EQ(capped->cycles, srs.cycles)
+                << r.toString() << " D=" << demand << " mixers=" << mixers
+                << " cap=" << cap;
+            EXPECT_EQ(capped->mixers, srs.mixers)
+                << r.toString() << " D=" << demand << " mixers=" << mixers
+                << " cap=" << cap;
+            continue;
+          }
           ++proven;
           EXPECT_GT(storage, cap) << r.toString() << " D=" << demand
                                   << " mixers=" << mixers;
@@ -342,7 +356,7 @@ TEST(Srs, StorageExceedsCheckIsSound) {
   obs::Session session;
   {
     const obs::Scope scope(session);
-    EXPECT_TRUE(srsStorageExceeds(heavy, 3, 3));
+    EXPECT_FALSE(scheduleSRS(heavy, 3, 3).has_value());
   }
   EXPECT_GT(countStorage(heavy, scheduleSRS(heavy, 3)), 3u);
   EXPECT_EQ(session.metrics.counter("sched.srs.bound_runs").value(), 12u);

@@ -211,51 +211,45 @@ void expectPlansIdentical(const StreamingPlan& a, const StreamingPlan& b,
   }
 }
 
-// Four workers and one worker must produce field-identical plans: the pool
-// only warms the cache, every decision re-reads memoized values.
-TEST(StreamingPlanParallel, FourThreadsMatchOneThreadFieldByField) {
-  for (const std::string& ratioText : {"2:1:1:1:1:1:9", "7:5:4", "14:2"}) {
-    MdstEngine serialEngine = engineFor(ratioText);
-    MdstEngine parallelEngine = engineFor(ratioText);
+// Four workers and one worker must produce field-identical optimized plans
+// (or both throw): the parallel fits sweep only settles the cache, and the
+// serial reduction re-reads it. The non-monotone 14:2 curve and caps too
+// tight for any pass are among the inputs.
+TEST(StreamingPlanParallel, OptimizedFourThreadsMatchOneThread) {
+  struct Case {
+    const char* ratio;
+    unsigned mixers;
+  };
+  for (const Case c : {Case{"2:1:1:1:1:1:9", 3}, Case{"2:1:1:1:1:1:9", 2},
+                       Case{"7:5:4", 2}, Case{"14:2", 2}}) {
+    MdstEngine serialEngine = engineFor(c.ratio);
+    MdstEngine parallelEngine = engineFor(c.ratio);
     for (unsigned cap : {1u, 3u, 5u}) {
-      for (const std::uint64_t demand : {16u, 23u, 37u}) {
+      for (const std::uint64_t demand : {16u, 20u, 23u, 37u}) {
         StreamingPlan serial, parallel;
         bool serialThrew = false;
         bool parallelThrew = false;
         try {
-          serial = planStreaming(serialEngine, request(demand, cap, 2, 1));
+          serial = planStreamingOptimized(
+              serialEngine, request(demand, cap, c.mixers, 1));
         } catch (const std::runtime_error&) {
           serialThrew = true;
         }
         try {
-          parallel =
-              planStreaming(parallelEngine, request(demand, cap, 2, 4));
+          parallel = planStreamingOptimized(
+              parallelEngine, request(demand, cap, c.mixers, 4));
         } catch (const std::runtime_error&) {
           parallelThrew = true;
         }
-        const std::string label = ratioText + " cap=" + std::to_string(cap) +
+        const std::string label = std::string(c.ratio) + " mixers=" +
+                                  std::to_string(c.mixers) + " cap=" +
+                                  std::to_string(cap) +
                                   " D=" + std::to_string(demand);
         EXPECT_EQ(serialThrew, parallelThrew) << label;
         if (!serialThrew && !parallelThrew) {
           expectPlansIdentical(serial, parallel, label);
         }
       }
-    }
-  }
-}
-
-TEST(StreamingPlanParallel, OptimizedFourThreadsMatchOneThread) {
-  MdstEngine serialEngine = engineFor("2:1:1:1:1:1:9");
-  MdstEngine parallelEngine = engineFor("2:1:1:1:1:1:9");
-  for (unsigned cap : {3u, 5u}) {
-    for (const std::uint64_t demand : {20u, 37u}) {
-      const StreamingPlan serial = planStreamingOptimized(
-          serialEngine, request(demand, cap, 3, 1));
-      const StreamingPlan parallel = planStreamingOptimized(
-          parallelEngine, request(demand, cap, 3, 4));
-      expectPlansIdentical(serial, parallel,
-                           "optimized cap=" + std::to_string(cap) +
-                               " D=" + std::to_string(demand));
     }
   }
 }
@@ -277,24 +271,45 @@ TEST(PassCacheAccounting, ConcurrentEvaluationIsConsistent) {
   for (std::size_t i = 0; i < storage.size(); ++i) {
     const unsigned serial =
         evaluatePass(engine, Algorithm::MM, Scheme::kSRS, 3, 2 + (i % 8))
-            .storageUnits;
+            ->storageUnits;
     EXPECT_EQ(storage[i], serial) << "demand " << 2 + (i % 8);
   }
   EXPECT_EQ(cache.stats().evaluations(), storage.size());
 }
 
-// The optimized planner evaluates every candidate D' in [1, D] exactly
-// once: serially through its ascending reduction, in parallel through one
-// warm sweep. A warm that recomputed or skipped a demand moves the count.
-TEST(PassCacheAccounting, OptimizedPlanMissesEveryCandidateOnce) {
+// The optimized planner asks fits() for every candidate D' in [1, D] and
+// evaluates in full only the ones that fit, so each candidate is settled
+// once: as a miss (it fits) or a bound reject (proven over the cap), and
+// every remainder is read back from an entry or the floor memo. At jobs 4
+// the parallel sweep settles the candidates, and the serial reduction then
+// reads each one again: a hit if it fits, a floor-memo bound reject if not.
+TEST(PassCacheAccounting, OptimizedPlanEvaluatesOnlyFittingCandidates) {
   MdstEngine engine = engineFor("2:1:1:1:1:1:9");
-  for (const unsigned jobs : {1u, 4u}) {
-    for (const std::uint64_t demand : {20u, 37u}) {
+  struct Pinned {
+    std::uint64_t demand;
+    std::uint64_t fitting;
+  };
+  for (const Pinned pinned : {Pinned{20, 20}, Pinned{37, 22}}) {
+    std::uint64_t fitting = 0;
+    for (std::uint64_t d = 1; d <= pinned.demand; ++d) {
+      const unsigned storage =
+          evaluatePass(engine, Algorithm::MM, Scheme::kSRS, 3, d)->storageUnits;
+      if (storage <= 5) ++fitting;
+    }
+    EXPECT_EQ(fitting, pinned.fitting) << "D=" << pinned.demand;
+    const std::uint64_t overCap = pinned.demand - pinned.fitting;
+    for (const unsigned jobs : {1u, 4u}) {
       PassCache cache;
-      (void)planStreamingOptimized(engine, request(demand, 5, 3, jobs), cache);
-      EXPECT_EQ(cache.stats().misses, demand)
-          << "jobs=" << jobs << " D=" << demand;
-      EXPECT_EQ(cache.size(), demand) << "jobs=" << jobs << " D=" << demand;
+      (void)planStreamingOptimized(engine, request(pinned.demand, 5, 3, jobs),
+                                   cache);
+      const PassCacheStats stats = cache.stats();
+      const std::string label = "jobs=" + std::to_string(jobs) +
+                                " D=" + std::to_string(pinned.demand);
+      EXPECT_EQ(stats.misses, pinned.fitting) << label;
+      EXPECT_EQ(cache.size(), pinned.fitting) << label;
+      EXPECT_EQ(stats.misses + stats.boundRejects,
+                pinned.demand + (jobs > 1 ? overCap : 0))
+          << label;
     }
   }
 }
@@ -323,7 +338,7 @@ TEST(PassCacheAccounting, FitsAnswersFromFloorMemo) {
   MdstEngine engine = engineFor("2:1:1:1:1:1:9");
   PassCache cache;
   const unsigned storage =
-      evaluatePass(engine, Algorithm::MM, Scheme::kSRS, 3, 64).storageUnits;
+      evaluatePass(engine, Algorithm::MM, Scheme::kSRS, 3, 64)->storageUnits;
   ASSERT_GT(storage, 3u);
 
   EXPECT_FALSE(cache.fits(engine, Algorithm::MM, Scheme::kSRS, 3, 64, 3));
@@ -348,7 +363,7 @@ TEST(PassCacheAccounting, FitsAnswersFromFloorMemo) {
   // MMS makes one schedule, so there is nothing to clip: it evaluates.
   EXPECT_EQ(cache.fits(engine, Algorithm::MM, Scheme::kMMS, 3, 64, 3),
             evaluatePass(engine, Algorithm::MM, Scheme::kMMS, 3, 64)
-                    .storageUnits <= 3);
+                    ->storageUnits <= 3);
   EXPECT_EQ(cache.stats().misses, 2u);
 
   cache.clear();
@@ -375,7 +390,7 @@ TEST(PassCacheAccounting, ConcurrentFitsIsConsistent) {
   for (std::size_t i = 0; i < fits.size(); ++i) {
     const unsigned storage =
         evaluatePass(engine, Algorithm::MM, Scheme::kSRS, 3, demandOf(i))
-            .storageUnits;
+            ->storageUnits;
     EXPECT_EQ(fits[i] != 0, storage <= capOf(i))
         << "demand " << demandOf(i) << " cap " << capOf(i);
   }

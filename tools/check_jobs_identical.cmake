@@ -1,4 +1,5 @@
-# ctest helper: the GA schedule and the streaming plan must serialize to
+# ctest helper: the optimized streaming plan (the one plan step that runs
+# in parallel), the injected run and fleet dispatch must serialize to
 # byte-identical JSON for every --jobs value. Run as
 #   cmake -DDMFSTREAM=<path-to-binary> -P check_jobs_identical.cmake
 if(NOT DEFINED DMFSTREAM)
@@ -16,27 +17,20 @@ function(run_cli out_var)
   set(${out_var} "${output}" PARENT_SCOPE)
 endfunction()
 
-set(ga_args plan --ratio 2:1:1:1:1:1:9 --demand 20 --scheme GA
-    --ga-pop 24 --ga-gens 15 --ga-seed 7 --json)
-run_cli(ga_jobs1 ${ga_args} --jobs 1)
-foreach(jobs 2 6)
-  run_cli(ga_jobsN ${ga_args} --jobs ${jobs})
-  if(NOT ga_jobs1 STREQUAL ga_jobsN)
-    message(FATAL_ERROR "GA plan JSON differs between --jobs 1 and --jobs ${jobs}")
-  endif()
-endforeach()
-
-set(stream_args stream --ratio 2:1:1:1:1:1:9 --demand 32 --storage 3 --json)
+set(stream_args stream --ratio 2:1:1:1:1:1:9 --demand 32 --storage 3
+    --optimize --json)
 run_cli(stream_jobs1 ${stream_args} --jobs 1)
 run_cli(stream_jobs4 ${stream_args} --jobs 4)
 if(NOT stream_jobs1 STREQUAL stream_jobs4)
-  message(FATAL_ERROR "streaming plan JSON differs between --jobs 1 and --jobs 4")
+  message(FATAL_ERROR "optimized streaming plan JSON differs between --jobs 1 and --jobs 4")
 endif()
 
 # A fault-injected run with a fixed --fault-seed is deterministic too: the
-# replay is serial, so --jobs (which parallelizes planning only) must not
-# change a single byte of the plan + recovery JSON.
-set(inject_args stream --ratio 2:1:1:1:1:1:9 --demand 32 --storage 3 --json
+# replay is serial, so --jobs (which parallelizes the optimized planner's
+# candidate sweep only) must not change a single byte of the plan + recovery
+# JSON.
+set(inject_args stream --ratio 2:1:1:1:1:1:9 --demand 32 --storage 3
+    --optimize --json
     --inject split=0.3,eps=0.4,loss=0.1,dispense=0.05 --fault-seed 42
     --retry-budget 4)
 run_cli(inject_jobs1 ${inject_args} --jobs 1)
@@ -73,4 +67,4 @@ if(NOT fleet_plans_clean STREQUAL fleet_plans_killed)
   message(FATAL_ERROR "fleet plans changed under a mid-run chip kill")
 endif()
 
-message(STATUS "GA, streaming, injected-recovery, and fleet JSON byte-identical across --jobs (and fleet plans across kill/migrate)")
+message(STATUS "optimized streaming, injected-recovery, and fleet JSON byte-identical across --jobs (and fleet plans across kill/migrate)")

@@ -2,7 +2,7 @@
 //
 //   dmfstream plan   --ratio 2:1:1:1:1:1:9 --demand 20 [--mixers N]
 //                    [--algo MM|RMA|MTCS|RSM] [--scheme MMS|SRS|OMS|GA]
-//                    [--ga-pop N] [--ga-gens N] [--ga-seed S] [--jobs N]
+//                    [--ga-pop N] [--ga-gens N] [--ga-seed S]
 //                    [--gantt] [--csv]
 //   dmfstream stream --ratio R --demand D --storage Q [--mixers N] [--algo A]
 //                    [--inject SPEC --fault-seed N --retry-budget K]
@@ -155,12 +155,11 @@ commands:
                    --split-error EPS (worst-case CF error analysis)
                    GA tuning: --ga-pop N (population, default 32)
                    --ga-gens N (generations, default 60) --ga-seed S
-                   --jobs N (parallel fitness evaluation; 0 = all cores;
-                   the schedule is identical for every N)
   stream  multi-pass plan under a storage cap
           --ratio R --demand D --storage Q [--mixers N] [--algo A]
           [--optimize]  (search all pass sizes for minimum total cycles)
-          [--jobs N]    (parallel candidate evaluation; 0 = all cores)
+          [--jobs N]    (parallel --optimize candidate sweep; 0 = all
+          cores; the default search is serial)
           [--json]      (machine-readable plan, identical for every --jobs)
           [--stats]     (pass-cache hit/miss and per-stage timings)
           fault injection + demand-driven recovery:
@@ -302,9 +301,6 @@ sched::Schedule makeSchedule(const forest::TaskForest& forest,
     options.generations =
         static_cast<unsigned>(args.getU64("ga-gens", options.generations));
     options.seed = args.getU64("ga-seed", options.seed);
-    // The global --jobs knob fans fitness evaluation out over the shared
-    // runtime pool; the schedule is byte-identical for every value.
-    options.jobs = static_cast<unsigned>(args.getU64("jobs", 1));
     return sched::scheduleGA(forest, mixers, options);
   }
   throw std::invalid_argument("--scheme: unknown scheme '" + scheme + "'");
@@ -435,9 +431,10 @@ int cmdStream(const Args& args, const Ratio& ratio) {
       out.set("recovery", std::move(runs));
     }
     if (args.has("stats")) {
-      // Stats are nondeterministic (wall times; parallel prefetch shifts the
-      // hit/miss split), so they only join the JSON on explicit request —
-      // the default plan JSON is byte-identical for every --jobs.
+      // Stats are nondeterministic (wall times; the parallel --optimize
+      // sweep shifts the hit/bound-reject split), so they only join the JSON
+      // on explicit request — the default plan JSON is byte-identical for
+      // every --jobs.
       out.set("passCache", engine::toJson(cache.stats()));
       out.set("srsRefinement", srsRefinementJson());
     }
