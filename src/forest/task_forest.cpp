@@ -4,8 +4,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-
-#include "runtime/arena.h"
+#include <vector>
 
 namespace dmf::forest {
 
@@ -94,24 +93,29 @@ void TaskForest::build() {
   const std::size_t nodeCount = graph.nodeCount();
   const std::vector<NodeId> topDown = graph.nodesByLevelDesc();
 
-  // All build-time temporaries live in the per-thread scratch arena; a
-  // demand-ladder sweep re-building forests back to back touches the same
-  // warm chunks instead of hitting the system allocator per build.
-  runtime::ArenaScope scratch(runtime::scratchArena());
-  runtime::Arena& arena = scratch.arena();
+  // Build-time temporaries live in per-thread scratch vectors, refilled with
+  // assign: a sweep re-building forests back to back reuses their capacity
+  // instead of hitting the allocator per build.
+  struct Scratch {
+    std::vector<std::size_t> rootIndex;
+    std::vector<std::uint64_t> need;
+    std::vector<TaskId> taskBase;
+    std::vector<std::uint32_t> treeBase;
+  };
+  static thread_local Scratch scratch;
 
   // Per-node demand-point index (for target-droplet allocation), kNoRoot
   // otherwise. For the classic constructors the demand points are the roots.
   constexpr std::size_t kNoRoot = static_cast<std::size_t>(-1);
-  std::size_t* rootIndex = arena.allocate<std::size_t>(nodeCount);
-  std::fill_n(rootIndex, nodeCount, kNoRoot);
+  std::vector<std::size_t>& rootIndex = scratch.rootIndex;
+  rootIndex.assign(nodeCount, kNoRoot);
   for (std::size_t r = 0; r < demandNodes_.size(); ++r) {
     rootIndex[demandNodes_[r]] = r;
   }
 
   // ---- demand propagation ------------------------------------------------
-  std::uint64_t* need = arena.allocate<std::uint64_t>(nodeCount);
-  std::fill_n(need, nodeCount, 0);
+  std::vector<std::uint64_t>& need = scratch.need;
+  need.assign(nodeCount, 0);
   execs_.assign(nodeCount, 0);
   stats_ = ForestStats{};
   stats_.targets =
@@ -147,8 +151,8 @@ void TaskForest::build() {
   }
 
   // ---- task instantiation (level-ascending id order) ---------------------
-  TaskId* taskBase = arena.allocate<TaskId>(nodeCount);
-  std::fill_n(taskBase, nodeCount, kNoTask);
+  std::vector<TaskId>& taskBase = scratch.taskBase;
+  taskBase.assign(nodeCount, kNoTask);
   tasks_.reserve(static_cast<std::size_t>(totalTasks));
   for (auto it = topDown.rbegin(); it != topDown.rend(); ++it) {
     const NodeId v = *it;
@@ -207,8 +211,8 @@ void TaskForest::build() {
   // target order; every other instance belongs to the tree of its first
   // consumer (consumers have larger ids, so one descending sweep settles
   // everything).
-  std::uint32_t* treeBase = arena.allocate<std::uint32_t>(demandNodes_.size());
-  std::fill_n(treeBase, demandNodes_.size(), 0);
+  std::vector<std::uint32_t>& treeBase = scratch.treeBase;
+  treeBase.assign(demandNodes_.size(), 0);
   {
     std::uint32_t base = 0;
     for (std::size_t r = 0; r < demandNodes_.size(); ++r) {

@@ -23,43 +23,15 @@ using report::Json;
 // ---------------------------------------------------------------------------
 // AdmissionGate
 
-namespace {
-
-/// Jain's fairness index over weight-normalized service, in permille.
-std::uint64_t jainPermille(const std::vector<std::uint64_t>& service,
-                           const std::vector<double>& weights) {
-  double sum = 0.0;
-  double sumSquares = 0.0;
-  for (std::size_t u = 0; u < service.size(); ++u) {
-    const double x = static_cast<double>(service[u]) / weights[u];
-    sum += x;
-    sumSquares += x * x;
-  }
-  if (sumSquares <= 0.0) return 1000;
-  return static_cast<std::uint64_t>(
-      (sum * sum) / (static_cast<double>(service.size()) * sumSquares) *
-          1000.0 +
-      0.5);
-}
-
-}  // namespace
-
 AdmissionGate::AdmissionGate(const ServiceOptions& options)
-    : lanes_(options.fleet),
-      weights_(options.fleetWeights),
-      policy_(dmf::fleet::makePolicy(lanes_ > 0 ? options.fleetPolicy
-                                                : "fifo")),
+    : users_(options.fleetWeights.empty()
+                 ? 16
+                 : static_cast<unsigned>(options.fleetWeights.size())),
+      policy_(dmf::fleet::makePolicy(options.fleetPolicy)),
       free_(runtime::ThreadPool::resolveJobs(options.jobs)) {
-  if (lanes_ == 0) {
-    policy_->setUsers(1);  // arrival order: every caller is one user
-    return;
-  }
-  if (weights_.empty()) weights_.assign(16, 1.0);
-  policy_->setUsers(static_cast<unsigned>(weights_.size()));
-  policy_->setWeights(weights_);
+  policy_->setUsers(users_);
+  if (!options.fleetWeights.empty()) policy_->setWeights(options.fleetWeights);
   policy_->setQuantum(options.fleetQuantum);
-  userService_.assign(weights_.size(), 0);
-  laneBusy_.assign(lanes_, 0);
 }
 
 AdmissionGate::Permit AdmissionGate::acquire(unsigned user,
@@ -67,8 +39,7 @@ AdmissionGate::Permit AdmissionGate::acquire(unsigned user,
   Waiter self;
   std::unique_lock<std::mutex> lock(mutex_);
   dmf::fleet::WorkItem item;
-  item.user =
-      lanes_ > 0 ? user % static_cast<unsigned>(weights_.size()) : 0;
+  item.user = user % users_;
   item.admission = admission_++;
   item.cost = std::max<std::uint64_t>(1, cost);
   waiters_.emplace(item.admission, &self);
@@ -97,34 +68,7 @@ void AdmissionGate::grantLocked() {
     Waiter* waiter = waiters_.extract(item->admission).mapped();
     waiter->granted = true;
     waiter->wake.notify_one();
-    if (lanes_ == 0) continue;
-    userService_[*user] += item->cost;
-    // Virtual lane placement: least-loaded lane first (ties to the lowest
-    // lane id) — the utilization picture a real fleet of chips would show.
-    std::size_t lane = 0;
-    for (std::size_t l = 1; l < laneBusy_.size(); ++l) {
-      if (laneBusy_[l] < laneBusy_[lane]) lane = l;
-    }
-    laneBusy_[lane] += item->cost;
-    obs::count("server.fleet.dispatched");
-    if (obs::MetricsRegistry* m = obs::metrics()) {
-      m->gauge("server.fleet.lane." + std::to_string(lane) + ".busy_cost")
-          .set(laneBusy_[lane]);
-    }
-    obs::gaugeSet("server.fleet.jain_permille",
-                  jainPermille(userService_, weights_));
   }
-}
-
-FleetQueueStats AdmissionGate::fleetStats() const {
-  FleetQueueStats stats;
-  stats.lanes = lanes_;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  stats.policy = policy_->name();
-  stats.userService = userService_;
-  stats.laneBusy = laneBusy_;
-  if (lanes_ > 0) stats.jainPermille = jainPermille(userService_, weights_);
-  return stats;
 }
 
 // ---------------------------------------------------------------------------
@@ -132,12 +76,12 @@ FleetQueueStats AdmissionGate::fleetStats() const {
 
 PlanService::PlanService(const ServiceOptions& options)
     : options_(options),
+      gate_(options),
       cache_(PlanCache::Options{options.cacheSize, options.cacheDir}),
       journal_(options.journalDir.empty()
                    ? nullptr
                    : std::make_unique<journal::ServerJournal>(
-                         options.journalDir)),
-      gate_(options) {}
+                         options.journalDir)) {}
 
 PlanService::~PlanService() = default;
 
@@ -243,26 +187,6 @@ std::string PlanService::dispatch(const std::string& line, bool* shutdown,
     // With an observability session installed the full instrument snapshot
     // rides along, so `dmfstream stats --port P` can render Prometheus text
     // from a live daemon.
-    // Fleet arbitration accounting, when enabled: per-user-slot service,
-    // lane utilization and the Jain fairness index the obs gauges track.
-    const FleetQueueStats fleet = gate_.fleetStats();
-    if (fleet.lanes > 0) {
-      Json fleetJson = Json::object();
-      fleetJson.set("lanes", std::uint64_t{fleet.lanes})
-          .set("policy", fleet.policy)
-          .set("jainPermille", fleet.jainPermille);
-      Json service = Json::array();
-      for (const std::uint64_t cost : fleet.userService) {
-        service.push(Json::number(cost));
-      }
-      fleetJson.set("userService", std::move(service));
-      Json lanes = Json::array();
-      for (const std::uint64_t busy : fleet.laneBusy) {
-        lanes.push(Json::number(busy));
-      }
-      fleetJson.set("laneBusy", std::move(lanes));
-      out.set("fleet", std::move(fleetJson));
-    }
     if (obs::MetricsRegistry* m = obs::metrics()) {
       out.set("metrics", m->snapshot());
     }

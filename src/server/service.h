@@ -55,12 +55,9 @@ struct ServiceOptions {
   /// Test-only: stretch every cold computation by this many nanoseconds to
   /// make coalescing windows deterministic. 0 in production.
   std::uint64_t computeDelayNanosForTest = 0;
-  /// Fleet arbitration (DESIGN.md §17): when > 0, leaders waiting for a
-  /// permit are granted in fleet::ArbitrationPolicy order, and each grant
-  /// is accounted to its user and placed on one of this many virtual lanes.
-  /// 0 grants waiters in arrival order and accounts nothing.
-  unsigned fleet = 0;
-  /// "fifo" | "rr" | "wfq" (makePolicy names).
+  /// Admission arbitration (DESIGN.md §17): leaders waiting for a permit
+  /// are granted in the order of this fleet::makePolicy name, "fifo"
+  /// (global arrival order) | "rr" | "wfq".
   std::string fleetPolicy = "fifo";
   /// Weights for the user slots; its size bounds the number of slots a
   /// connection id folds into (empty = 16 equal-weight slots).
@@ -69,26 +66,12 @@ struct ServiceOptions {
   double fleetQuantum = 0.0;
 };
 
-/// Per-user-slot service accounting of a fleet-arbitrated gate.
-struct FleetQueueStats {
-  unsigned lanes = 0;
-  std::string policy;
-  /// Dispatched service cost (demand units) per user slot.
-  std::vector<std::uint64_t> userService;
-  /// Accumulated cost placed on each virtual lane.
-  std::vector<std::uint64_t> laneBusy;
-  /// Jain's fairness index over weight-normalized user service, in
-  /// permille (1000 = perfectly weight-proportional).
-  std::uint64_t jainPermille = 1000;
-};
-
 /// Bounds concurrent plan computations to a fixed number of permits. The
 /// caller computes on its own thread while it holds a permit; there is no
 /// dispatcher thread and no batch. While every permit is held, callers wait,
-/// and each freed permit goes to the waiter the arbitration policy picks:
-/// fifo without fleet arbitration, the configured policy with it. The
-/// policy state (e.g. wfq virtual time) persists across grants, so a heavy
-/// user's backlog cannot starve light users.
+/// and each freed permit goes to the waiter the configured arbitration
+/// policy picks. The policy state (e.g. wfq virtual time) persists across
+/// grants, so a heavy user's backlog cannot starve light users.
 class AdmissionGate {
  public:
   /// A held permit; destruction returns it to the gate.
@@ -104,7 +87,8 @@ class AdmissionGate {
   };
 
   /// `options.jobs` permits, arbitrated as the `options.fleet*` fields
-  /// configure.
+  /// configure. Throws std::invalid_argument on an unknown policy, a bad
+  /// weight or a negative quantum.
   explicit AdmissionGate(const ServiceOptions& options);
 
   AdmissionGate(const AdmissionGate&) = delete;
@@ -115,10 +99,6 @@ class AdmissionGate {
   /// the policy arbitrates on (e.g. the request demand; clamped to >= 1).
   [[nodiscard]] Permit acquire(unsigned user, std::uint64_t cost);
 
-  /// Snapshot of the fleet accounting (zero-lane stats when arbitration is
-  /// off). Thread-safe.
-  [[nodiscard]] FleetQueueStats fleetStats() const;
-
  private:
   /// A caller blocked in acquire(), woken when its item is granted.
   struct Waiter {
@@ -127,22 +107,18 @@ class AdmissionGate {
   };
 
   void release();
-  /// Hands free permits to waiters in policy order and accounts each
-  /// grant. Caller holds mutex_.
+  /// Hands free permits to waiters in policy order. Caller holds mutex_.
   void grantLocked();
 
-  /// Virtual lanes (0 = fleet arbitration off) and user-slot weights.
-  const unsigned lanes_;
-  std::vector<double> weights_;
-  mutable std::mutex mutex_;
+  /// Number of user slots a caller identity folds into.
+  const unsigned users_;
+  std::mutex mutex_;
   /// Guarded by mutex_, like everything below.
   std::unique_ptr<fleet::ArbitrationPolicy> policy_;
   unsigned free_;
   std::uint64_t admission_ = 0;
   /// Waiters by the admission number of their policy item.
   std::unordered_map<std::uint64_t, Waiter*> waiters_;
-  std::vector<std::uint64_t> userService_;
-  std::vector<std::uint64_t> laneBusy_;
 };
 
 class PlanService {
@@ -170,11 +146,6 @@ class PlanService {
   /// with; `kind` is one of parse|request|infeasible|internal.
   [[nodiscard]] static std::string errorResponse(const std::string& kind,
                                                  const std::string& error);
-
-  /// The admission gate's fleet accounting (zero-lane when off).
-  [[nodiscard]] FleetQueueStats fleetStats() const {
-    return gate_.fleetStats();
-  }
 
   /// Replays write-ahead-logged requests left unacknowledged by a previous
   /// daemon run (no-op without a journal). Each replayed line goes back
@@ -238,11 +209,13 @@ class PlanService {
                                                    const Outcome& outcome);
 
   ServiceOptions options_;
+  /// Built first: it validates the arbitration options before the cache
+  /// and WAL directories are touched.
+  AdmissionGate gate_;
   PlanCache cache_;
   /// Null without options.journalDir; owned here so WAL appends can come
   /// from any request thread for the service's whole lifetime.
   std::unique_ptr<journal::ServerJournal> journal_;
-  AdmissionGate gate_;
 
   std::mutex inflightMutex_;
   std::unordered_map<std::string, Inflight> inflight_;

@@ -166,6 +166,13 @@ TEST(FleetPolicy, SetWeightsValidates) {
   EXPECT_NO_THROW(policy.setWeights({1.0, 8.0}));
 }
 
+TEST(FleetPolicy, SetQuantumRejectsNegativeForEveryPolicy) {
+  for (const char* name : {"fifo", "rr", "wfq"}) {
+    EXPECT_THROW(makePolicy(name)->setQuantum(-1.0), std::invalid_argument)
+        << name;
+  }
+}
+
 TEST(FleetPolicy, MakePolicyResolvesNamesAndRejectsUnknown) {
   EXPECT_STREQ(makePolicy("fifo")->name(), "fifo");
   EXPECT_STREQ(makePolicy("rr")->name(), "rr");

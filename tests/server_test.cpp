@@ -383,42 +383,8 @@ TEST(ServerService, CoalescesConcurrentIdenticalRequests) {
   }
 }
 
-TEST(ServerService, FleetArbitrationAccountsPerUserService) {
-  ServiceOptions options;
-  options.fleet = 2;
-  options.fleetPolicy = "wfq";
-  options.fleetWeights = {8.0, 1.0, 1.0};
-  PlanService service(options);
-  // Distinct plans from distinct users; the demand is the service cost the
-  // policy accounts.
-  (void)service.handle(planLine("2:1:1:1:1:1:9", 32, 3), nullptr, 0);
-  (void)service.handle(planLine("3:1", 8, 3), nullptr, 1);
-  (void)service.handle(planLine("1:2:1", 6, 4), nullptr, 5);  // folds to slot 2
-  const FleetQueueStats stats = service.fleetStats();
-  EXPECT_EQ(stats.lanes, 2u);
-  EXPECT_EQ(stats.policy, "wfq");
-  ASSERT_EQ(stats.userService.size(), 3u);
-  EXPECT_EQ(stats.userService[0], 32u);
-  EXPECT_EQ(stats.userService[1], 8u);
-  EXPECT_EQ(stats.userService[2], 6u);
-  ASSERT_EQ(stats.laneBusy.size(), 2u);
-  EXPECT_EQ(stats.laneBusy[0] + stats.laneBusy[1], 32u + 8u + 6u);
-  EXPECT_GT(stats.jainPermille, 0u);
-  EXPECT_LE(stats.jainPermille, 1000u);
-
-  // The stats op surfaces the same accounting for `dmfstream stats`.
-  const report::Json statsJson =
-      report::Json::parse(service.handle("{\"op\":\"stats\"}"));
-  ASSERT_TRUE(statsJson.contains("fleet"));
-  EXPECT_EQ(statsJson.at("fleet").at("policy").asString(), "wfq");
-  EXPECT_EQ(statsJson.at("fleet").at("lanes").asUint(), 2u);
-}
-
 TEST(ServerService, UserFieldOverridesConnectionIdentityButNotTheKey) {
-  ServiceOptions options;
-  options.fleet = 1;
-  options.fleetWeights = {1.0, 1.0};
-  PlanService service(options);
+  PlanService service(ServiceOptions{});
   const std::string base = planLine("2:1:1:1:1:1:9", 16, 3);
   // Same plan, explicit "user":1 in the request body (connection user 0).
   std::string tagged = base;
@@ -430,10 +396,6 @@ TEST(ServerService, UserFieldOverridesConnectionIdentityButNotTheKey) {
   EXPECT_EQ(sourceOf(cold), "planned");
   EXPECT_EQ(sourceOf(warm), "cache");
   EXPECT_EQ(planBytes(cold), planBytes(warm));
-  // But the service cost was accounted to the tagged user slot.
-  const FleetQueueStats stats = service.fleetStats();
-  ASSERT_EQ(stats.userService.size(), 2u);
-  EXPECT_EQ(stats.userService[1], 16u);
   // A mistyped user field is a request error, not a crash.
   std::string bad = base;
   bad.insert(bad.size() - 1, ",\"user\":\"alice\"");
@@ -504,42 +466,9 @@ TEST(ServerService, JobsBoundsConcurrentComputations) {
 }
 
 TEST(ServerService, WfqGrantsALightUserAheadOfAHeavyBacklog) {
-  obs::Session session;
-  obs::Scope scope(session);
-  ServiceOptions options;
-  options.jobs = 1;
-  options.fleet = 1;
-  options.fleetPolicy = "wfq";
-  options.fleetWeights = {8.0, 1.0};
-  options.computeDelayNanosForTest = 100'000'000;  // 100 ms
-  PlanService service(options);
-  const auto depth = [&session] {
-    return session.metrics.gauge("server.queue.depth").value();
-  };
-  // (user, demand) in arrival order; the demand is the cost wfq charges.
+  // (user slot, demand) in arrival order; the demand is the cost wfq charges.
   const std::vector<std::pair<unsigned, std::uint64_t>> arrivals = {
       {0, 8}, {0, 9}, {0, 10}, {0, 11}, {0, 12}, {1, 13}};
-  std::mutex mutex;
-  std::vector<unsigned> served;  // users in completion order
-  std::vector<std::thread> clients;
-  bool queued = true;
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    const auto [user, demand] = arrivals[i];
-    clients.emplace_back([&service, &mutex, &served, user, demand] {
-      (void)service.handle(planLine("3:1", demand, 3), nullptr, user);
-      const std::lock_guard<std::mutex> lock(mutex);
-      served.push_back(user);
-    });
-    // The first request computes; each later one queues behind it before
-    // the next arrives, so the light user arrives last.
-    queued = queued && (i == 0 ? eventually([&] {
-                                   return service.planned() == 1;
-                                 })
-                               : eventually([&] { return depth() >= i; }));
-  }
-  for (std::thread& client : clients) client.join();
-  ASSERT_TRUE(queued);
-
   // With one permit, completion order is grant order: the order the policy
   // itself gives for these arrivals.
   fleet::WeightedFairPolicy policy;
@@ -555,11 +484,59 @@ TEST(ServerService, WfqGrantsALightUserAheadOfAHeavyBacklog) {
   while (const std::optional<unsigned> user = policy.pickUser(0.0)) {
     expected.push_back(policy.pop(*user)->user);
   }
-  EXPECT_EQ(served, expected);
   // The weight-1 user is granted next, not after the heavy backlog.
   EXPECT_EQ(expected, (std::vector<unsigned>{0, 1, 0, 0, 0, 0}));
-  EXPECT_EQ(service.fleetStats().userService,
-            (std::vector<std::uint64_t>{8 + 9 + 10 + 11 + 12, 13}));
+
+  // The light request reaches slot 1 three ways: over connection 1, over
+  // connection 0 with a "user":1 override, and over connection 3, which
+  // folds onto the two weight slots.
+  struct Light {
+    unsigned connection;
+    bool userField;
+  };
+  for (const Light light : {Light{1, false}, Light{0, true}, Light{3, false}}) {
+    SCOPED_TRACE("light connection " + std::to_string(light.connection) +
+                 (light.userField ? " with \"user\":1" : ""));
+    obs::Session session;
+    obs::Scope scope(session);
+    ServiceOptions options;
+    options.jobs = 1;
+    options.fleetPolicy = "wfq";
+    options.fleetWeights = {8.0, 1.0};
+    options.computeDelayNanosForTest = 100'000'000;  // 100 ms
+    PlanService service(options);
+    const auto depth = [&session] {
+      return session.metrics.gauge("server.queue.depth").value();
+    };
+    std::mutex mutex;
+    std::vector<unsigned> served;  // user slots in completion order
+    std::vector<std::thread> clients;
+    bool queued = true;
+    for (std::size_t i = 0; i < arrivals.size(); ++i) {
+      const auto [slot, demand] = arrivals[i];
+      std::string line = planLine("3:1", demand, 3);
+      unsigned connection = 0;
+      if (slot == 1) {
+        connection = light.connection;
+        if (light.userField) line.insert(line.size() - 1, ",\"user\":1");
+      }
+      clients.emplace_back([&service, &mutex, &served, slot, line,
+                            connection] {
+        (void)service.handle(line, nullptr, connection);
+        const std::lock_guard<std::mutex> lock(mutex);
+        served.push_back(slot);
+      });
+      // The first request computes; each later one queues behind it before
+      // the next arrives, so the light user arrives last.
+      queued = queued && (i == 0 ? eventually([&] {
+                                     return service.planned() == 1;
+                                   })
+                                 : eventually([&] { return depth() >= i; }));
+    }
+    for (std::thread& client : clients) client.join();
+    ASSERT_TRUE(queued);
+    EXPECT_EQ(served, expected);
+  }
 }
 
 TEST(ServerService, FailedWalAppendDoesNotPoisonTheKey) {

@@ -21,14 +21,14 @@
 //                    [--journal DIR] [--json [--placement] | --plans-only]
 //   dmfstream serve  [--port P] [--cache-size N] [--cache-dir DIR]
 //                    [--journal DIR] [--jobs N] [--drive FILE]
-//                    [--fleet N --policy P --weights W1,... --quantum Q]
+//                    [--policy P --weights W1,... --quantum Q]
 //   dmfstream stats  (--from FILE | --port P) [--format prometheus|json]
 //
 // Any command also accepts --trace FILE (Chrome trace-event JSON, loadable
 // in Perfetto / chrome://tracing), --metrics FILE (metrics snapshot), and
 // --log-level debug|info|warn|error|off / --log-file FILE (structured
 // JSON-lines logging; serve defaults to info on stderr, everything else
-// to off).
+// to off). Any other option is an error (exit 1).
 //
 // Exit codes: 0 success, 1 usage error, 2 infeasible request
 // (dmf::InfeasibleError — e.g. a storage cap too tight for any pass),
@@ -50,6 +50,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -219,9 +220,11 @@ commands:
           responses are byte-identical for every N)]
           [--drive FILE (send FILE's request lines, print responses to
           stdout, then exit — for tests and scripting)]
-          [--fleet N (policy-ordered admission over N virtual lanes with
-          per-connection user identity) --policy fifo|rr|wfq
-          --weights W1,... (user-slot weights) --quantum Q]
+          [--policy fifo|rr|wfq (order in which cache misses waiting for
+          a --jobs slot are granted; default fifo = arrival order; each
+          connection is one user)]
+          [--weights W1,... (user-slot weights; connection ids fold onto
+          them, default 16 equal slots) --quantum Q (wfq service quantum)]
           requests: {"op":"plan","ratio":"2:1:1:1:1:1:9","demand":20,
           "storage":4} plus optional algo/scheme/mixers/optimize; other
           ops: ping, stats, shutdown
@@ -246,6 +249,53 @@ global options (any command):
   --log-file F    log sink (default stderr); one JSON object per line
 )";
   return 1;
+}
+
+/// The options each command reads, beside the global ones usage() lists.
+/// dispatch() rejects any other before the command runs, so a misspelled
+/// option fails instead of silently taking its default.
+const std::map<std::string, std::set<std::string>>& commandOptions() {
+  static const std::map<std::string, std::set<std::string>> table = {
+      {"plan",
+       {"ratio", "demand", "mixers", "algo", "scheme", "gantt", "csv", "json",
+        "split-error", "ga-pop", "ga-gens", "ga-seed"}},
+      {"stream",
+       {"ratio", "demand", "storage", "mixers", "algo", "optimize", "jobs",
+        "json", "stats", "inject", "fault-seed", "retry-budget",
+        "checkpoint-every", "detect-latency", "journal", "resume",
+        "snapshot-every", "crash-after-pass"}},
+      {"multi", {"targets", "demands", "mixers", "jobs", "json", "stats"}},
+      {"dilute",
+       {"sample", "demand", "mixers", "algo", "scheme", "gantt", "csv", "json",
+        "split-error", "ga-pop", "ga-gens", "ga-seed"}},
+      {"chip",
+       {"ratio", "demand", "mixers", "algo", "simulate", "pins", "wear",
+        "anneal", "contamination"}},
+      {"corpus", {"sum", "min-fluids", "max-fluids"}},
+      {"fuzz", {"iters", "seed", "time-budget", "scope", "replay"}},
+      {"fleet",
+       {"users", "fleet", "chips", "policy", "weights", "quantum", "jobs",
+        "kill", "journal", "json", "placement", "plans-only"}},
+      {"serve",
+       {"port", "cache-size", "cache-dir", "journal", "jobs", "drive",
+        "policy", "weights", "quantum"}},
+      {"stats", {"from", "port", "format"}},
+  };
+  return table;
+}
+
+void requireKnownOptions(const Args& args,
+                         const std::set<std::string>& accepted) {
+  static const std::set<std::string> global = {"trace", "metrics",
+                                               "log-level", "log-file"};
+  const auto check = [&](const std::string& key) {
+    if (accepted.count(key) == 0 && global.count(key) == 0) {
+      throw std::invalid_argument("unknown option --" + key + " for " +
+                                  args.command);
+    }
+  };
+  for (const auto& [key, value] : args.options) check(key);
+  for (const std::string& flag : args.flags) check(flag);
 }
 
 Args parse(int argc, char** argv) {
@@ -843,9 +893,7 @@ int cmdServe(const Args& args) {
   options.cacheDir = args.get("cache-dir").value_or("");
   options.journalDir = args.get("journal").value_or("");
   options.jobs = static_cast<unsigned>(args.getU64("jobs", 1));
-  // Fleet arbitration: --fleet N turns on policy-ordered admission over N
-  // virtual lanes, with per-connection user identity (DESIGN.md §17).
-  options.fleet = static_cast<unsigned>(args.getU64("fleet", 0));
+  // Admission arbitration with per-connection user identity (DESIGN.md §17).
   options.fleetPolicy = args.get("policy").value_or("fifo");
   if (const auto weights = args.get("weights"); weights.has_value()) {
     options.fleetWeights = fleet::parseWeights(*weights);
@@ -1017,6 +1065,9 @@ void writeTextFile(const std::string& key, const std::string& path,
 }
 
 int dispatch(const Args& args) {
+  const auto accepted = commandOptions().find(args.command);
+  if (accepted == commandOptions().end()) return usage();
+  requireKnownOptions(args, accepted->second);
   if (args.command == "plan") return cmdPlan(args, requireRatio(args));
   if (args.command == "stream") return cmdStream(args, requireRatio(args));
   if (args.command == "multi") return cmdMulti(args);
