@@ -12,7 +12,9 @@
 #include "dmf/errors.h"
 #include "mixgraph/builders.h"
 #include "obs/scope.h"
+#include "sched/ga_scheduler.h"
 #include "sched/gantt.h"
+#include "sched/heterogeneous.h"
 #include "sched/schedule.h"
 #include "workload/random_ratios.h"
 #include "workload/ratio_corpus.h"
@@ -306,6 +308,52 @@ TEST(StorageCapped, CorpusScheduleHashPinned) {
     }
   });
   EXPECT_EQ(hash.value(), 0x4b16844c57b73857ull);
+}
+
+// The remaining list schedulers, pinned on the same corpus: any change to
+// their readiness bookkeeping, queue order or mixer assignment moves a hash.
+TEST(Mms, CorpusScheduleHashPinned) {
+  ScheduleHash hash;
+  forEachCorpusForest([&](const TaskForest& f, unsigned mixers) {
+    hash.add(scheduleMMS(f, mixers));
+  });
+  EXPECT_EQ(hash.value(), 0xb7f2cf047ae0e668ull);
+}
+
+TEST(SrsGreedy, CorpusScheduleHashPinned) {
+  ScheduleHash hash;
+  forEachCorpusForest([&](const TaskForest& f, unsigned mixers) {
+    hash.add(scheduleSRSGreedy(f, mixers));
+  });
+  EXPECT_EQ(hash.value(), 0xa432b30910a35d91ull);
+}
+
+TEST(Oms, CorpusScheduleHashPinned) {
+  ScheduleHash hash;
+  forEachCorpusForest([&](const TaskForest& f, unsigned mixers) {
+    hash.add(scheduleOMS(f, mixers));
+  });
+  EXPECT_EQ(hash.value(), 0xf8a651129fbc76d0ull);
+}
+
+TEST(Heterogeneous, CorpusScheduleHashPinned) {
+  const MixerBank bank{{1, 2, 1, 3, 1}};
+  ScheduleHash hash;
+  forEachCorpusForest([&](const TaskForest& f, unsigned /*mixers*/) {
+    hash.add(scheduleHeterogeneous(f, bank));
+  });
+  EXPECT_EQ(hash.value(), 0xebc97c3dd1310304ull);
+}
+
+TEST(GaScheduler, CorpusScheduleHashPinned) {
+  GaOptions options;
+  options.population = 16;
+  options.generations = 20;
+  ScheduleHash hash;
+  forEachCorpusForest([&](const TaskForest& f, unsigned mixers) {
+    if (f.demand() <= 32) hash.add(scheduleGA(f, mixers, options));
+  });
+  EXPECT_EQ(hash.value(), 0x54079b6046b6a8f0ull);
 }
 
 // The capped scheduleSRS may return nullopt only when scheduleSRS really
