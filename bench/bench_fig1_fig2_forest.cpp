@@ -34,7 +34,8 @@ int main() {
     const auto& s = forest.stats();
     std::string perFluid;
     for (std::size_t i = 0; i < s.inputPerFluid.size(); ++i) {
-      perFluid += (i ? "," : "") + std::to_string(s.inputPerFluid[i]);
+      if (i > 0) perFluid += ',';
+      perFluid += std::to_string(s.inputPerFluid[i]);
     }
     table.addRow({std::to_string(ref.demand),
                   std::to_string(s.componentTrees),

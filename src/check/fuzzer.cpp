@@ -33,25 +33,6 @@
 
 namespace dmf::check {
 
-namespace {
-
-mixgraph::Algorithm parseAlgorithm(const std::string& name) {
-  if (name == "MM") return mixgraph::Algorithm::MM;
-  if (name == "RMA") return mixgraph::Algorithm::RMA;
-  if (name == "MTCS") return mixgraph::Algorithm::MTCS;
-  if (name == "RSM") return mixgraph::Algorithm::RSM;
-  throw std::invalid_argument("FuzzCase: unknown algorithm \"" + name + "\"");
-}
-
-engine::Scheme parseScheme(const std::string& name) {
-  if (name == "MMS") return engine::Scheme::kMMS;
-  if (name == "SRS") return engine::Scheme::kSRS;
-  if (name == "OMS") return engine::Scheme::kOMS;
-  throw std::invalid_argument("FuzzCase: unknown scheme \"" + name + "\"");
-}
-
-}  // namespace
-
 std::string FuzzCase::ratioString() const {
   std::string out;
   for (std::uint64_t p : ratioParts) {
@@ -89,8 +70,8 @@ FuzzCase FuzzCase::fromJson(const report::Json& json) {
       throw std::invalid_argument("FuzzCase: malformed ratio string");
     }
     c.ratioParts = ratio->parts();
-    c.algorithm = parseAlgorithm(json.at("algorithm").asString());
-    c.scheme = parseScheme(json.at("scheme").asString());
+    c.algorithm = server::parseAlgorithm(json.at("algorithm").asString());
+    c.scheme = server::parseScheme(json.at("scheme").asString());
     c.demand = json.at("demand").asUint();
     c.mixers = static_cast<unsigned>(json.at("mixers").asUint());
     c.storageCap = static_cast<unsigned>(json.at("storageCap").asUint());

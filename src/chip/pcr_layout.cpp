@@ -6,6 +6,17 @@
 
 namespace dmf::chip {
 
+namespace {
+
+// "R3", "M1", "q2", ...: a module kind's letter and its 1-based index.
+std::string moduleLabel(char kind, std::size_t index) {
+  std::string label(1, kind);
+  label += std::to_string(index);
+  return label;
+}
+
+}  // namespace
+
 Layout synthesizeLayout(std::size_t fluidCount, unsigned mixerCount,
                         unsigned storageCount) {
   if (fluidCount == 0 || mixerCount == 0) {
@@ -28,17 +39,17 @@ Layout synthesizeLayout(std::size_t fluidCount, unsigned mixerCount,
     const std::size_t slot = top ? f : f - perEdge;
     layout.add(Module{ModuleKind::kReservoir,
                       Cell{static_cast<int>(1 + 3 * slot), top ? 0 : height - 1},
-                      1, 1, f, "R" + std::to_string(f + 1)});
+                      1, 1, f, moduleLabel('R', f + 1)});
   }
   for (unsigned m = 0; m < mixerCount; ++m) {
     layout.add(Module{ModuleKind::kMixer,
                       Cell{static_cast<int>(2 + 5 * m), 3}, 2, 2, 0,
-                      "M" + std::to_string(m + 1)});
+                      moduleLabel('M', m + 1)});
   }
   for (unsigned s = 0; s < storageCount; ++s) {
     layout.add(Module{ModuleKind::kStorage,
                       Cell{static_cast<int>(1 + 2 * s), 7}, 1, 1, 0,
-                      "q" + std::to_string(s + 1)});
+                      moduleLabel('q', s + 1)});
   }
   layout.add(Module{ModuleKind::kWaste, Cell{0, 5}, 1, 1, 0, "W1"});
   layout.add(Module{ModuleKind::kWaste, Cell{width - 1, 5}, 1, 1, 0, "W2"});

@@ -119,10 +119,11 @@ std::uint64_t largestFeasiblePerPass(const PlanContext& ctx,
   // Monotonicity probe: the SRS storage curve can dip as the forest
   // recomposes, in which case feasible demands exist above the bisection
   // result. Sample a few points there; any hit falls back to an exact
-  // descending scan.
+  // descending scan. candidate + 1 needs no probe: it is either `demand` or
+  // the bisection's last infeasible midpoint.
   bool monotone = true;
   for (const std::uint64_t probe :
-       {candidate + 1, candidate + (demand - candidate) / 2, demand - 1}) {
+       {candidate + (demand - candidate) / 2, demand - 1}) {
     if (probe > candidate && probe < demand && ctx.feasible(probe)) {
       monotone = false;
       break;

@@ -281,7 +281,11 @@ std::vector<TaskId> TaskForest::initialReady() const {
 
 std::string TaskForest::taskLabel(TaskId id) const {
   const Task& t = tasks_[id];
-  return "m" + std::to_string(t.tree) + "." + std::to_string(t.node);
+  std::string label = "m";
+  label += std::to_string(t.tree);
+  label += '.';
+  label += std::to_string(t.node);
+  return label;
 }
 
 std::string TaskForest::toDot() const {

@@ -490,10 +490,16 @@ std::string Json::dump(unsigned indent) const {
 }
 
 void Json::dumpTo(std::string& out, unsigned indent, unsigned depth) const {
-  const std::string pad =
-      indent == 0 ? "" : "\n" + std::string((depth + 1) * indent, ' ');
-  const std::string padClose =
-      indent == 0 ? "" : "\n" + std::string(depth * indent, ' ');
+  const auto newline = [indent](unsigned levels) {
+    std::string text;
+    if (indent > 0) {
+      text += '\n';
+      text.append(std::size_t{levels} * indent, ' ');
+    }
+    return text;
+  };
+  const std::string pad = newline(depth + 1);
+  const std::string padClose = newline(depth);
   switch (kind_) {
     case Kind::kObject: {
       out += '{';

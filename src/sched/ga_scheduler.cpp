@@ -8,13 +8,11 @@
 
 #include "obs/scope.h"
 #include "sched/fitness_memo.h"
+#include "sched/list_scheduler.h"
 #include "sched/schedulers.h"
 
 namespace dmf::sched {
 
-using forest::DropletFate;
-using forest::kNoTask;
-using forest::Task;
 using forest::TaskForest;
 using forest::TaskId;
 
@@ -23,76 +21,39 @@ namespace {
 // Lexicographic fitness: completion time, then storage. Smaller is better.
 using Score = std::pair<unsigned, unsigned>;
 
-// Reusable decode state: one allocation set for the whole GA run instead of
-// one per fitness evaluation. The ready queue is a keyed binary min-heap
-// over (key, task) pairs — same pop order as the std::set it replaces (ties
-// broken by TaskId) without the per-node rebalancing cost.
-struct DecodeScratch {
-  std::vector<unsigned> pending;
-  std::vector<std::vector<TaskId>> arrivals;
-  std::vector<std::pair<double, TaskId>> ready;
-  Schedule schedule;
+// Decodes random-key chromosomes on the shared list-scheduling driver: ready
+// tasks run in ascending (key, id) order, at most `mixers` per cycle. The
+// ready heap and the schedule are reused across decodes.
+class Decoder {
+ public:
+  Decoder(const TaskForest& forest, unsigned mixers)
+      : forest_(forest), mixers_(mixers) {
+    schedule_.mixerCount = mixers;
+    schedule_.scheme = "GA";
+  }
+
+  const Schedule& decode(const std::vector<double>& keys) {
+    detail::HeapPolicy policy(
+        heap_, [&keys](TaskId id) { return std::make_pair(keys[id], id); });
+    if (!detail::runListScheduler(forest_.initialPending(),
+                                  detail::consumersOf(forest_), mixers_,
+                                  policy, schedule_)) {
+      throw std::logic_error("GA: scheduler stalled");
+    }
+    return schedule_;
+  }
+
+  Score score(const std::vector<double>& keys) {
+    const Schedule& s = decode(keys);
+    return {s.completionTime, countStorage(forest_, s)};
+  }
+
+ private:
+  const TaskForest& forest_;
+  unsigned mixers_;
+  std::vector<std::pair<double, TaskId>> heap_;
+  Schedule schedule_;
 };
-
-// Decodes a random-key chromosome into scratch.schedule: ready tasks run in
-// ascending key order, at most `mixers` per cycle.
-void decodeInto(const TaskForest& forest, unsigned mixers,
-                const std::vector<double>& keys, DecodeScratch& scratch) {
-  Schedule& s = scratch.schedule;
-  s.mixerCount = mixers;
-  s.scheme = "GA";
-  s.completionTime = 0;
-  const std::size_t n = forest.taskCount();
-  s.reset(n);
-
-  const std::vector<std::uint8_t>& initialPending = forest.initialPending();
-  scratch.pending.assign(initialPending.begin(), initialPending.end());
-  // Every arrivals bucket is consumed (and cleared) by the loop below, so
-  // the buffers stay empty-but-allocated between decodes.
-  if (scratch.arrivals.size() < 2) scratch.arrivals.resize(2);
-  scratch.ready.clear();
-  auto& ready = scratch.ready;
-  const auto heapGreater = std::greater<std::pair<double, TaskId>>{};
-  for (TaskId id = 0; id < n; ++id) {
-    if (scratch.pending[id] == 0) scratch.arrivals[1].push_back(id);
-  }
-  const std::vector<TaskId>& consumers = forest.outConsumers();
-  std::size_t remaining = n;
-  for (unsigned t = 1; remaining > 0; ++t) {
-    if (t < scratch.arrivals.size()) {
-      for (TaskId id : scratch.arrivals[t]) {
-        ready.emplace_back(keys[id], id);
-        std::push_heap(ready.begin(), ready.end(), heapGreater);
-      }
-      scratch.arrivals[t].clear();
-    }
-    for (unsigned k = 0; k < mixers && !ready.empty(); ++k) {
-      std::pop_heap(ready.begin(), ready.end(), heapGreater);
-      const TaskId id = ready.back().second;
-      ready.pop_back();
-      s.place(id, t, k);
-      s.completionTime = t;
-      --remaining;
-      for (unsigned slot = 0; slot < 2; ++slot) {
-        const TaskId consumer = consumers[2 * id + slot];
-        if (consumer == kNoTask) continue;
-        if (--scratch.pending[consumer] == 0) {
-          if (scratch.arrivals.size() <= t + 1) {
-            scratch.arrivals.resize(t + 2);
-          }
-          scratch.arrivals[t + 1].push_back(consumer);
-        }
-      }
-    }
-  }
-}
-
-Score evaluateWith(const TaskForest& forest, unsigned mixers,
-                   const std::vector<double>& keys, DecodeScratch& scratch) {
-  decodeInto(forest, mixers, keys, scratch);
-  return {scratch.schedule.completionTime,
-          countStorage(forest, scratch.schedule)};
-}
 
 struct Individual {
   std::vector<double> keys;
@@ -108,7 +69,7 @@ struct Individual {
 class FitnessEvaluator {
  public:
   FitnessEvaluator(const TaskForest& forest, unsigned mixers)
-      : forest_(forest), mixers_(mixers) {}
+      : decoder_(forest, mixers) {}
 
   void scoreTail(std::vector<Individual>& population, std::size_t first) {
     misses_.clear();
@@ -129,7 +90,7 @@ class FitnessEvaluator {
     }
     for (const std::size_t index : misses_) {
       Individual& ind = population[index];
-      ind.score = evaluateWith(forest_, mixers_, ind.keys, scratch_);
+      ind.score = decoder_.score(ind.keys);
     }
     for (const std::size_t index : misses_) {
       memo_.insert(population[index].keys, population[index].score);
@@ -137,9 +98,7 @@ class FitnessEvaluator {
   }
 
  private:
-  const TaskForest& forest_;
-  unsigned mixers_;
-  DecodeScratch scratch_;
+  Decoder decoder_;
   FitnessMemo<Score> memo_;
   std::vector<std::size_t> misses_;
 };
@@ -231,9 +190,7 @@ Schedule scheduleGA(const TaskForest& forest, unsigned mixers,
   }
 
   std::sort(population.begin(), population.end(), better);
-  DecodeScratch scratch;
-  decodeInto(forest, mixers, population.front().keys, scratch);
-  return std::move(scratch.schedule);
+  return Decoder(forest, mixers).decode(population.front().keys);
 }
 
 }  // namespace dmf::sched

@@ -42,7 +42,9 @@ std::string renderGantt(const TaskForest& forest, const Schedule& s) {
   }
   out += '\n';
   for (unsigned m = 0; m < s.mixerCount; ++m) {
-    out += pad("M" + std::to_string(m + 1), width);
+    std::string mixer = "M";
+    mixer += std::to_string(m + 1);
+    out += pad(std::move(mixer), width);
     for (unsigned t = 1; t <= tc; ++t) {
       out += pad(cells[m][t].empty() ? "." : cells[m][t], width);
     }

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <stdexcept>
+
+#include "sched/list_scheduler.h"
 
 namespace dmf::sched {
 
@@ -37,15 +38,7 @@ Schedule scheduleHeterogeneous(const TaskForest& forest,
   const std::vector<TaskId>& consumers = forest.outConsumers();
 
   // Longest remaining dependency chain first (Hu priority).
-  std::vector<unsigned> colevel(n, 1);
-  for (TaskId id = static_cast<TaskId>(n); id-- > 0;) {
-    for (unsigned slot = 0; slot < 2; ++slot) {
-      const TaskId consumer = consumers[2 * id + slot];
-      if (consumer != kNoTask) {
-        colevel[id] = std::max(colevel[id], colevel[consumer] + 1);
-      }
-    }
-  }
+  const std::vector<unsigned> colevel = detail::computeColevels(forest);
 
   const std::vector<std::uint8_t>& initialPending = forest.initialPending();
   std::vector<unsigned> pending(initialPending.begin(), initialPending.end());
@@ -65,26 +58,22 @@ Schedule scheduleHeterogeneous(const TaskForest& forest,
   });
   std::vector<unsigned> freeAt(bank.size(), 1);
 
-  // Min-heap over packed (colevel desc, id asc) keys; unique keys make the
-  // pop order identical to the std::set this replaces.
+  // Min-heap over packed (colevel desc, id asc) keys.
   std::vector<std::uint64_t> ready;
-  const auto heapGreater = std::greater<std::uint64_t>{};
   std::size_t remaining = n;
   for (unsigned t = 1; remaining > 0; ++t) {
     const auto it = arrivals.find(t);
     if (it != arrivals.end()) {
       for (TaskId id : it->second) {
-        ready.push_back(((0xFFFFFFFFull - colevel[id]) << 32) | id);
-        std::push_heap(ready.begin(), ready.end(), heapGreater);
+        detail::heapPush(ready,
+                         ((detail::kIdMask - colevel[id]) << 32) | id);
       }
       arrivals.erase(it);
     }
     for (unsigned m : order) {
       if (ready.empty()) break;
       if (freeAt[m] > t) continue;
-      std::pop_heap(ready.begin(), ready.end(), heapGreater);
-      const auto id = static_cast<TaskId>(ready.back() & 0xFFFFFFFFull);
-      ready.pop_back();
+      const TaskId id = detail::taskOf(detail::heapPop(ready));
       s.place(id, t, m);
       const unsigned finish = t + bank.cyclesPerMix[m] - 1;
       freeAt[m] = finish + 1;

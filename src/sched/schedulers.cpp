@@ -13,6 +13,7 @@
 
 #include "dmf/errors.h"
 #include "obs/scope.h"
+#include "sched/list_scheduler.h"
 
 namespace dmf::sched {
 
@@ -23,94 +24,26 @@ using forest::TaskId;
 
 namespace {
 
-// The ready queues below are binary min-heaps over packed 64-bit keys
-// (priority in the high half, TaskId in the low half). Every key is unique,
-// so the pop sequence is identical to iterating the std::set the previous
-// implementation used — same schedules, no per-node allocation.
-constexpr std::uint64_t kIdMask = 0xFFFFFFFFull;
+using detail::consumersOf;
+using detail::heapPop;
+using detail::heapPush;
+using detail::HeapPolicy;
+using detail::kIdMask;
+using detail::runListScheduler;
 
-inline void heapPush(std::vector<std::uint64_t>& heap, std::uint64_t key) {
-  heap.push_back(key);
-  std::push_heap(heap.begin(), heap.end(), std::greater<>());
-}
-
-inline std::uint64_t heapPop(std::vector<std::uint64_t>& heap) {
-  std::pop_heap(heap.begin(), heap.end(), std::greater<>());
-  const std::uint64_t key = heap.back();
-  heap.pop_back();
-  return key;
-}
-
-/// Resets a reusable arrivals table (cycle -> tasks becoming schedulable)
-/// without giving back the inner vectors' capacity.
-void resetArrivals(std::vector<std::vector<TaskId>>& arrivals) {
-  for (auto& slot : arrivals) slot.clear();
-  if (arrivals.size() < 2) arrivals.resize(2);
-}
-
-// Shared list-scheduling driver. A Policy receives the tasks that become
-// schedulable at the current cycle (add) and yields at most `capacity` tasks
-// to run this cycle (take). The driver handles readiness bookkeeping: a task
-// becomes schedulable the cycle after its last operand is produced.
+// MMS, Algorithm 2 and OMS: the forward DAG from a fresh schedule.
 template <typename Policy>
-Schedule runListScheduler(const TaskForest& forest, unsigned mixers,
-                          Policy policy, std::string name) {
+Schedule scheduleForward(const TaskForest& forest, unsigned mixers,
+                         Policy policy, std::string name) {
   if (mixers == 0) {
     throw std::invalid_argument(name + ": at least one mixer required");
   }
   Schedule s;
   s.mixerCount = mixers;
   s.scheme = std::move(name);
-  const std::size_t n = forest.taskCount();
-  s.reset(n);
-  if (n == 0) return s;
-
-  struct Scratch {
-    std::vector<unsigned> pending;
-    std::vector<std::vector<TaskId>> arrivals;
-    std::vector<TaskId> batch;
-  };
-  static thread_local Scratch scratch;
-  std::vector<unsigned>& pending = scratch.pending;
-  std::vector<std::vector<TaskId>>& arrivals = scratch.arrivals;
-  std::vector<TaskId>& batch = scratch.batch;
-
-  const std::vector<std::uint8_t>& initialPending = forest.initialPending();
-  pending.assign(initialPending.begin(), initialPending.end());
-
-  // arrivals[t] = tasks that become schedulable at cycle t (1-based).
-  resetArrivals(arrivals);
-  for (TaskId id = 0; id < n; ++id) {
-    if (pending[id] == 0) arrivals[1].push_back(id);
-  }
-
-  const std::vector<TaskId>& consumers = forest.outConsumers();
-  std::size_t remaining = n;
-  for (unsigned t = 1; remaining > 0; ++t) {
-    if (t < arrivals.size()) {
-      policy.add(arrivals[t]);
-      arrivals[t].clear();
-    }
-    batch.clear();
-    policy.take(mixers, batch);
-    // Mixers are assigned in increasing index order (paper Algorithms 1/2).
-    for (unsigned k = 0; k < batch.size(); ++k) {
-      const TaskId id = batch[k];
-      s.place(id, t, k);
-      --remaining;
-      for (unsigned slot = 0; slot < 2; ++slot) {
-        const TaskId consumer = consumers[2 * id + slot];
-        if (consumer == kNoTask) continue;
-        if (--pending[consumer] == 0) {
-          if (arrivals.size() <= t + 1) arrivals.resize(t + 2);
-          arrivals[t + 1].push_back(consumer);
-        }
-      }
-    }
-    s.completionTime = batch.empty() ? s.completionTime : t;
-    if (batch.empty() && remaining > 0 && t >= arrivals.size()) {
-      throw std::logic_error(s.scheme + ": scheduler stalled");
-    }
+  if (!runListScheduler(forest.initialPending(), consumersOf(forest), mixers,
+                        policy, s)) {
+    throw std::logic_error(s.scheme + ": scheduler stalled");
   }
   return s;
 }
@@ -131,10 +64,11 @@ class MmsPolicy {
     queue_.insert(queue_.end(), arrivals.begin(), arrivals.end());
   }
 
-  void take(unsigned capacity, std::vector<TaskId>& out) {
+  bool take(unsigned /*t*/, unsigned capacity, std::vector<TaskId>& out) {
     while (capacity-- > 0 && head_ < queue_.size()) {
       out.push_back(queue_[head_++]);
     }
+    return true;
   }
 
  private:
@@ -153,7 +87,7 @@ class SrsGreedyPolicy {
  public:
   explicit SrsGreedyPolicy(const TaskForest& forest) : forest_(&forest) {}
 
-  void add(std::vector<TaskId>& arrivals) {
+  void add(const std::vector<TaskId>& arrivals) {
     const std::vector<unsigned>& levels = forest_->taskLevels();
     for (TaskId id : arrivals) {
       const auto level = std::uint64_t{levels[id]};
@@ -165,17 +99,18 @@ class SrsGreedyPolicy {
     }
   }
 
-  void take(unsigned capacity, std::vector<TaskId>& out) {
+  bool take(unsigned /*t*/, unsigned capacity, std::vector<TaskId>& out) {
     const std::size_t intNodes = qInt_.size();
     for (unsigned k = 0; k < capacity && !qInt_.empty(); ++k) {
-      out.push_back(static_cast<TaskId>(heapPop(qInt_) & kIdMask));
+      out.push_back(detail::taskOf(heapPop(qInt_)));
     }
     if (capacity > intNodes) {
       unsigned leafBudget = capacity - static_cast<unsigned>(intNodes);
       while (leafBudget-- > 0 && !qLeaf_.empty()) {
-        out.push_back(static_cast<TaskId>(heapPop(qLeaf_) & kIdMask));
+        out.push_back(detail::taskOf(heapPop(qLeaf_)));
       }
     }
+    return true;
   }
 
  private:
@@ -184,32 +119,12 @@ class SrsGreedyPolicy {
   std::vector<std::uint64_t> qLeaf_;
 };
 
-// Hu / critical-path policy: longest path to an emitted droplet first.
-class OmsPolicy {
- public:
-  explicit OmsPolicy(std::vector<unsigned> colevel)
-      : colevel_(std::move(colevel)) {}
+}  // namespace
 
-  void add(std::vector<TaskId>& arrivals) {
-    for (TaskId id : arrivals) {
-      heapPush(queue_, ((kIdMask - std::uint64_t{colevel_[id]}) << 32) | id);
-    }
-  }
+namespace detail {
 
-  void take(unsigned capacity, std::vector<TaskId>& out) {
-    while (capacity-- > 0 && !queue_.empty()) {
-      out.push_back(static_cast<TaskId>(heapPop(queue_) & kIdMask));
-    }
-  }
-
- private:
-  std::vector<unsigned> colevel_;
-  std::vector<std::uint64_t> queue_;
-};
-
-// colevel(v) = length of the longest dependency chain starting at v
-// (inclusive). Task ids are level-ascending, so consumers always have larger
-// ids and one descending sweep suffices.
+// Task ids are level-ascending, so consumers always have larger ids and one
+// descending sweep suffices.
 std::vector<unsigned> computeColevels(const TaskForest& forest) {
   std::vector<unsigned> colevel(forest.taskCount(), 1);
   const std::vector<TaskId>& consumers = forest.outConsumers();
@@ -224,15 +139,15 @@ std::vector<unsigned> computeColevels(const TaskForest& forest) {
   return colevel;
 }
 
-}  // namespace
+}  // namespace detail
 
 Schedule scheduleMMS(const TaskForest& forest, unsigned mixers) {
-  return runListScheduler(forest, mixers, MmsPolicy(forest), "MMS");
+  return scheduleForward(forest, mixers, MmsPolicy(forest), "MMS");
 }
 
 Schedule scheduleSRSGreedy(const TaskForest& forest, unsigned mixers) {
-  return runListScheduler(forest, mixers, SrsGreedyPolicy(forest),
-                          "SRS-greedy");
+  return scheduleForward(forest, mixers, SrsGreedyPolicy(forest),
+                         "SRS-greedy");
 }
 
 namespace {
@@ -258,10 +173,8 @@ Schedule scheduleJustInTime(const TaskForest& forest, unsigned mixers) {
   // early, the behaviour the paper attributes to SRS.
   struct Scratch {
     std::vector<unsigned> revColevel;
-    std::vector<unsigned> pending;
-    std::vector<std::vector<TaskId>> arrivals;
     std::vector<std::uint64_t> ready;
-    std::vector<unsigned> revCycle;
+    Schedule reversed;
     std::vector<unsigned> used;
   };
   static thread_local Scratch scratch;
@@ -283,60 +196,30 @@ Schedule scheduleJustInTime(const TaskForest& forest, unsigned mixers) {
 
   // Reverse readiness: a task is reverse-ready once every consumer of its
   // droplets is reverse-scheduled. Root instances (no consumers) seed it.
-  const std::vector<std::uint8_t>& consumedOuts = forest.consumedOutCounts();
-  std::vector<unsigned>& pending = scratch.pending;
-  pending.assign(consumedOuts.begin(), consumedOuts.end());
-
-  std::vector<std::vector<TaskId>>& arrivals = scratch.arrivals;
-  resetArrivals(arrivals);
-  for (TaskId id = 0; id < n; ++id) {
-    if (pending[id] == 0) arrivals[1].push_back(id);
-  }
-
   // Priority: longest reverse chain first (Hu on the reversed DAG), breaking
   // ties in favour of Type-C nodes (defer them furthest in forward time),
   // then by task id. Packed as (revColevel desc, typeC-first bit, id).
-  auto key = [&](TaskId id) {
+  HeapPolicy policy(scratch.ready, [&](TaskId id) {
     const bool typeC =
         forest.task(id).operandClass == OperandClass::kTypeC;
     return ((0x7FFFFFFFull - revColevel[id]) << 33) |
            (std::uint64_t{typeC ? 0u : 1u} << 32) | id;
+  });
+  const auto producersOf = [&](TaskId id) {
+    return std::array<TaskId, 2>{depLeft[id], depRight[id]};
   };
-  std::vector<std::uint64_t>& ready = scratch.ready;
-  ready.clear();
-
-  std::vector<unsigned>& revCycle = scratch.revCycle;
-  revCycle.assign(n, 0);
-  std::size_t remaining = n;
-  unsigned span = 0;
-  for (unsigned t = 1; remaining > 0; ++t) {
-    if (t < arrivals.size()) {
-      for (TaskId id : arrivals[t]) heapPush(ready, key(id));
-      arrivals[t].clear();
-    }
-    for (unsigned k = 0; k < mixers && !ready.empty(); ++k) {
-      const auto id = static_cast<TaskId>(heapPop(ready) & kIdMask);
-      revCycle[id] = t;
-      span = std::max(span, t);
-      --remaining;
-      for (TaskId dep : {depLeft[id], depRight[id]}) {
-        if (dep == kNoTask) continue;
-        if (--pending[dep] == 0) {
-          if (arrivals.size() <= t + 1) arrivals.resize(t + 2);
-          arrivals[t + 1].push_back(dep);
-        }
-      }
-    }
-    if (ready.empty() && remaining > 0 && t >= arrivals.size()) {
-      throw std::logic_error("SRS: reverse pass stalled");
-    }
+  Schedule& reversed = scratch.reversed;
+  if (!runListScheduler(forest.consumedOutCounts(), producersOf, mixers,
+                        policy, reversed)) {
+    throw std::logic_error("SRS: reverse pass stalled");
   }
 
   // Mirror into forward time and hand out mixer indices per cycle.
+  const unsigned span = reversed.completionTime;
   std::vector<unsigned>& used = scratch.used;
   used.assign(span + 2, 0);
   for (TaskId id = 0; id < n; ++id) {
-    const unsigned cycle = span + 1 - revCycle[id];
+    const unsigned cycle = span + 1 - reversed.cycles[id];
     s.place(id, cycle, used[cycle]++);
   }
   s.completionTime = span;
@@ -351,12 +234,9 @@ namespace {
 /// capped simulation per distinct admission budget over the same forest, so
 /// every run bumps warm vectors instead of re-allocating its bookkeeping.
 struct CappedScratch {
-  std::vector<unsigned> pending;
-  std::vector<std::vector<TaskId>> arrivals;
   std::vector<std::uint64_t> ready;       // sorted ascending by packed key
   std::vector<std::uint64_t> arrivalKeys;
   std::vector<std::uint64_t> merged;
-  std::vector<TaskId> batch;
   Schedule out;  // the run's result; copied out on adoption
   /// Peak droplets parked in one cycle (carried - consumedNow) over the run.
   std::int64_t peak = 0;
@@ -408,99 +288,66 @@ struct CappedLimits {
   unsigned deadline = std::numeric_limits<unsigned>::max();
 };
 
-// One storage-capped run with a fixed admission budget. Fills `scratch.out`
-// with a schedule whose every cycle parks at most `limits.storageCap`
-// droplets (their maximum in `scratch.peak`) and returns true, or returns
-// false when the run stalls, exceeds the cap or passes the deadline.
-// `jitCycles` is the cycle array of a just-in-time schedule supplying the
-// service order.
-bool tryStorageCapped(const TaskForest& forest, unsigned mixers,
-                      const CappedLimits& limits,
-                      const std::vector<unsigned>& jitCycles,
-                      CappedScratch& scratch) {
-  Schedule& s = scratch.out;
-  s.mixerCount = mixers;
-  s.scheme = "capped";
-  s.completionTime = 0;
-  scratch.peak = 0;
-  scratch.passedMax = std::numeric_limits<std::int64_t>::min();
-  scratch.blockedMin = std::numeric_limits<std::int64_t>::max();
-  const std::size_t n = forest.taskCount();
-  s.reset(n);
-  if (n == 0) return true;
-
-  // Per-task inventory delta: +1 for every output droplet that some other
-  // mix-split will consume (consumedOuts), -1 for every operand taken out of
-  // storage (storedOperands == the initial pending count).
-  const std::vector<std::uint8_t>& consumedOuts = forest.consumedOutCounts();
-  const std::vector<std::uint8_t>& storedOperands = forest.initialPending();
-  const std::vector<TaskId>& consumers = forest.outConsumers();
-
-  std::vector<unsigned>& pending = scratch.pending;
-  pending.assign(storedOperands.begin(), storedOperands.end());
-
-  std::vector<std::vector<TaskId>>& arrivals = scratch.arrivals;
-  resetArrivals(arrivals);
-  for (TaskId id = 0; id < n; ++id) {
-    if (pending[id] == 0) arrivals[1].push_back(id);
+// The storage-capped admission policy: Algorithm 2's two queues under a
+// storage budget, served in the order of a just-in-time schedule
+// (`jitCycles`). Abandons the run when a cycle parks more than the cap or a
+// task would start after the deadline.
+class CappedPolicy {
+ public:
+  CappedPolicy(const TaskForest& forest, const CappedLimits& limits,
+               const std::vector<unsigned>& jitCycles, CappedScratch& scratch)
+      : consumedOuts_(forest.consumedOutCounts()),
+        storedOperands_(forest.initialPending()),
+        limits_(limits),
+        jitCycles_(jitCycles),
+        scratch_(scratch) {
+    scratch.ready.clear();
+    scratch.peak = 0;
+    scratch.passedMax = std::numeric_limits<std::int64_t>::min();
+    scratch.blockedMin = std::numeric_limits<std::int64_t>::max();
   }
 
   // Ready tasks in just-in-time order: the latest-feasible schedule's cycle
   // assignment pipelines production right before consumption, so following
-  // it under the cap keeps partner droplets adjacent. Producers must go in
-  // strictly this order — letting a later dispense mix jump a stalled one
-  // fills the storage with droplets whose partners can then never be made
-  // (the classic storage deadlock). The queue is a flat vector sorted
-  // ascending by (jit cycle, id): arrivals merge in, and the two service
-  // passes below compact the survivors in place — iteration order matches
-  // the std::set this replaced, with zero node allocations.
-  auto key = [&](TaskId id) {
-    return (std::uint64_t{jitCycles[id]} << 32) | id;
-  };
-  std::vector<std::uint64_t>& ready = scratch.ready;
-  ready.clear();
-  std::vector<std::uint64_t>& arrivalKeys = scratch.arrivalKeys;
-  std::vector<std::uint64_t>& merged = scratch.merged;
+  // it under the cap keeps partner droplets adjacent. The queue is a flat
+  // vector sorted ascending by (jit cycle, id): arrivals merge in, and the
+  // two service passes compact the survivors in place — iteration order
+  // matches the std::set this replaced, with zero node allocations.
+  void add(const std::vector<TaskId>& arrivals) {
+    std::vector<std::uint64_t>& keys = scratch_.arrivalKeys;
+    keys.clear();
+    for (TaskId id : arrivals) {
+      keys.push_back((std::uint64_t{jitCycles_[id]} << 32) | id);
+    }
+    std::sort(keys.begin(), keys.end());
+    std::vector<std::uint64_t>& ready = scratch_.ready;
+    std::vector<std::uint64_t>& merged = scratch_.merged;
+    merged.clear();
+    std::merge(ready.begin(), ready.end(), keys.begin(), keys.end(),
+               std::back_inserter(merged));
+    ready.swap(merged);
+  }
 
-  // `carried` counts consumable droplets produced in earlier cycles and not
+  // Per-task inventory delta: +1 for every output droplet that some other
+  // mix-split will consume (consumedOuts), -1 for every operand taken out of
+  // storage (storedOperands == the initial pending count).
+  //
+  // `carried_` counts consumable droplets produced in earlier cycles and not
   // yet consumed. The droplets this cycle's batch does not consume are
   // exactly the ones parked in storage during the cycle (Algorithm 3), so
   // the hard constraint per cycle is: carried - consumedNow <= cap. Fresh
   // production only becomes storage next cycle; it is admitted up to an
   // optimism window of what the mixer bank could consume back in one cycle.
   //
-  // All pressure tests below run in signed 64-bit arithmetic: the inventory
+  // All pressure tests run in signed 64-bit arithmetic: the inventory
   // invariant (a cycle never consumes more droplets than it carried in) is
   // expected to hold for every forest the TaskForest constructors can build,
   // but an unsigned wrap here would not fail loudly — it would silently turn
   // the test into always-true/always-false and admit cap-violating batches.
   // The invariant itself is checked at the end of every cycle.
-  std::int64_t carried = 0;
-  const std::int64_t budget = limits.admission;
-  auto admits = [&](std::int64_t pressure) {
-    if (pressure > budget) {
-      scratch.blockedMin = std::min(scratch.blockedMin, pressure);
-      return false;
-    }
-    scratch.passedMax = std::max(scratch.passedMax, pressure);
-    return true;
-  };
-  std::size_t remaining = n;
-  std::vector<TaskId>& batch = scratch.batch;
-  for (unsigned t = 1; remaining > 0; ++t) {
-    if (t > limits.deadline) return false;
-    if (t < arrivals.size() && !arrivals[t].empty()) {
-      arrivalKeys.clear();
-      for (TaskId id : arrivals[t]) arrivalKeys.push_back(key(id));
-      arrivals[t].clear();
-      std::sort(arrivalKeys.begin(), arrivalKeys.end());
-      merged.clear();
-      std::merge(ready.begin(), ready.end(), arrivalKeys.begin(),
-                 arrivalKeys.end(), std::back_inserter(merged));
-      ready.swap(merged);
-    }
-
-    batch.clear();
+  bool take(unsigned t, unsigned capacity, std::vector<TaskId>& batch) {
+    if (t > limits_.deadline) return false;
+    std::vector<std::uint64_t>& ready = scratch_.ready;
     std::int64_t consumedNow = 0;
     std::int64_t producedNow = 0;
     // Pass 1 — consumers of stored droplets (the Q_int of Algorithm 2), in
@@ -508,16 +355,16 @@ bool tryStorageCapped(const TaskForest& forest, unsigned mixers,
     std::size_t w = 0;
     std::size_t i = 0;
     for (; i < ready.size(); ++i) {
-      if (batch.size() >= mixers) break;
+      if (batch.size() >= capacity) break;
       const auto id = static_cast<TaskId>(ready[i] & kIdMask);
-      const std::int64_t cons = storedOperands[id];
+      const std::int64_t cons = storedOperands_[id];
       if (cons == 0) {
         ready[w++] = ready[i];
         continue;
       }
-      const std::int64_t prod = consumedOuts[id];
+      const std::int64_t prod = consumedOuts_[id];
       if (prod > cons &&
-          !admits(carried - consumedNow - cons + producedNow + prod)) {
+          !admits(carried_ - consumedNow - cons + producedNow + prod)) {
         ready[w++] = ready[i];  // net-producing consumer under pressure
         continue;
       }
@@ -534,14 +381,14 @@ bool tryStorageCapped(const TaskForest& forest, unsigned mixers,
     w = 0;
     i = 0;
     for (; i < ready.size(); ++i) {
-      if (batch.size() >= mixers) break;
+      if (batch.size() >= capacity) break;
       const auto id = static_cast<TaskId>(ready[i] & kIdMask);
-      if (storedOperands[id] != 0) {
+      if (storedOperands_[id] != 0) {
         ready[w++] = ready[i];
         continue;
       }
-      const std::int64_t prod = consumedOuts[id];
-      if (!admits(carried - consumedNow + producedNow + prod)) {
+      const std::int64_t prod = consumedOuts_[id];
+      if (!admits(carried_ - consumedNow + producedNow + prod)) {
         break;  // strict order among producers
       }
       producedNow += prod;
@@ -550,38 +397,56 @@ bool tryStorageCapped(const TaskForest& forest, unsigned mixers,
     for (; i < ready.size(); ++i) ready[w++] = ready[i];
     ready.resize(w);
 
-    if (consumedNow > carried) {
+    if (consumedNow > carried_) {
       // A cycle consumed more droplets than it carried in — the readiness
-      // bookkeeping above must make this impossible; wrapping silently in
+      // bookkeeping must make this impossible; wrapping silently in
       // unsigned arithmetic was the pre-signed failure mode.
       throw std::logic_error(
           "tryStorageCapped: cycle consumed more droplets than carried (" +
-          std::to_string(consumedNow) + " > " + std::to_string(carried) +
+          std::to_string(consumedNow) + " > " + std::to_string(carried_) +
           ")");
     }
-    scratch.peak = std::max(scratch.peak, carried - consumedNow);
-    if (scratch.peak > limits.storageCap) return false;
+    scratch_.peak = std::max(scratch_.peak, carried_ - consumedNow);
+    if (scratch_.peak > limits_.storageCap) return false;
+    carried_ = carried_ - consumedNow + producedNow;
+    return true;
+  }
 
-    for (unsigned k = 0; k < batch.size(); ++k) {
-      const TaskId id = batch[k];
-      s.place(id, t, k);
-      --remaining;
-      for (unsigned slot = 0; slot < 2; ++slot) {
-        const TaskId consumer = consumers[2 * id + slot];
-        if (consumer == kNoTask) continue;
-        if (--pending[consumer] == 0) {
-          if (arrivals.size() <= t + 1) arrivals.resize(t + 2);
-          arrivals[t + 1].push_back(consumer);
-        }
-      }
-    }
-    carried = carried - consumedNow + producedNow;
-    s.completionTime = batch.empty() ? s.completionTime : t;
-    if (batch.empty() && remaining > 0 && t >= arrivals.size()) {
+ private:
+  // Records which side of the admission budget `pressure` fell on.
+  bool admits(std::int64_t pressure) {
+    if (pressure > limits_.admission) {
+      scratch_.blockedMin = std::min(scratch_.blockedMin, pressure);
       return false;
     }
+    scratch_.passedMax = std::max(scratch_.passedMax, pressure);
+    return true;
   }
-  return true;
+
+  const std::vector<std::uint8_t>& consumedOuts_;
+  const std::vector<std::uint8_t>& storedOperands_;
+  const CappedLimits& limits_;
+  const std::vector<unsigned>& jitCycles_;
+  CappedScratch& scratch_;
+  std::int64_t carried_ = 0;
+};
+
+// One storage-capped run with a fixed admission budget. Fills `scratch.out`
+// with a schedule whose every cycle parks at most `limits.storageCap`
+// droplets (their maximum in `scratch.peak`) and returns true, or returns
+// false when the run stalls, exceeds the cap or passes the deadline.
+// `jitCycles` is the cycle array of a just-in-time schedule supplying the
+// service order.
+bool tryStorageCapped(const TaskForest& forest, unsigned mixers,
+                      const CappedLimits& limits,
+                      const std::vector<unsigned>& jitCycles,
+                      CappedScratch& scratch) {
+  Schedule& s = scratch.out;
+  s.mixerCount = mixers;
+  s.scheme = "capped";
+  CappedPolicy policy(forest, limits, jitCycles, scratch);
+  return runListScheduler(forest.initialPending(), consumersOf(forest),
+                          mixers, policy, s);
 }
 
 /// The production-lookahead window ladder. Small mixer banks make the ladder
@@ -808,12 +673,18 @@ std::optional<Schedule> scheduleSRS(const TaskForest& forest, unsigned mixers,
 }
 
 Schedule scheduleOMS(const TaskForest& forest, unsigned mixers) {
-  return runListScheduler(forest, mixers, OmsPolicy(computeColevels(forest)),
-                          "OMS");
+  // Hu / critical-path priority: longest path to an emitted droplet first.
+  const std::vector<unsigned> colevel = detail::computeColevels(forest);
+  const auto longestFirst = [&colevel](TaskId id) {
+    return ((kIdMask - std::uint64_t{colevel[id]}) << 32) | id;
+  };
+  std::vector<std::uint64_t> heap;
+  return scheduleForward(forest, mixers, HeapPolicy(heap, longestFirst),
+                         "OMS");
 }
 
 unsigned criticalPathLength(const TaskForest& forest) {
-  const std::vector<unsigned> colevel = computeColevels(forest);
+  const std::vector<unsigned> colevel = detail::computeColevels(forest);
   return colevel.empty() ? 0
                          : *std::max_element(colevel.begin(), colevel.end());
 }

@@ -108,7 +108,10 @@ TEST(Integration, GanttAndDotExportsAgreeOnTaskCount) {
   // Every task label appears in both renderings.
   for (forest::TaskId id = 0; id < forest.taskCount(); ++id) {
     EXPECT_NE(gantt.find(forest.taskLabel(id)), std::string::npos);
-    EXPECT_NE(dot.find("t" + std::to_string(id) + " ["), std::string::npos);
+    std::string node = "t";
+    node += std::to_string(id);
+    node += " [";
+    EXPECT_NE(dot.find(node), std::string::npos);
   }
   // The dot export shows cross-tree waste reuse (the paper's brown edges).
   EXPECT_NE(dot.find("brown"), std::string::npos);

@@ -57,9 +57,9 @@ TEST(LogLevelTest, ParseRoundTripsEveryName) {
         LogLevel::kOff}) {
     EXPECT_EQ(parseLogLevel(logLevelName(level)), level);
   }
-  EXPECT_THROW(parseLogLevel("chatty"), std::invalid_argument);
-  EXPECT_THROW(parseLogLevel(""), std::invalid_argument);
-  EXPECT_THROW(parseLogLevel("INFO"), std::invalid_argument);
+  EXPECT_THROW((void)parseLogLevel("chatty"), std::invalid_argument);
+  EXPECT_THROW((void)parseLogLevel(""), std::invalid_argument);
+  EXPECT_THROW((void)parseLogLevel("INFO"), std::invalid_argument);
 }
 
 TEST(LogTest, DisabledPathEmitsNothing) {

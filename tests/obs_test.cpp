@@ -152,10 +152,10 @@ TEST(ObsMetricsTest, QuantileClampsOverflowToLastBound) {
 TEST(ObsMetricsTest, QuantileEdgeCases) {
   const std::vector<std::uint64_t> bounds{10};
   EXPECT_DOUBLE_EQ(histogramQuantile(bounds, {0, 0}, 0.5), 0.0);  // empty
-  EXPECT_THROW(histogramQuantile(bounds, {1, 2, 3}, 0.5),
+  EXPECT_THROW((void)histogramQuantile(bounds, {1, 2, 3}, 0.5),
                std::invalid_argument);  // counts/bounds size mismatch
   Histogram h({10, 20});
-  for (const std::uint64_t v : {1, 2, 3, 4}) h.observe(v);
+  for (const std::uint64_t v : {1u, 2u, 3u, 4u}) h.observe(v);
   EXPECT_DOUBLE_EQ(h.quantile(0.5), 5.0);  // member delegates to the free fn
 }
 

@@ -197,9 +197,13 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomSweepParam{128, 9, 44},
                       RandomSweepParam{256, 4, 55}),
     [](const auto& paramInfo) {
-      return "L" + std::to_string(paramInfo.param.sum) + "_N" +
-             std::to_string(paramInfo.param.fluids) + "_s" +
-             std::to_string(paramInfo.param.seed);
+      std::string name = "L";
+      name += std::to_string(paramInfo.param.sum);
+      name += "_N";
+      name += std::to_string(paramInfo.param.fluids);
+      name += "_s";
+      name += std::to_string(paramInfo.param.seed);
+      return name;
     });
 
 }  // namespace

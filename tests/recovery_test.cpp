@@ -37,7 +37,9 @@ void checkInvariants(const RecoveryReport& r) {
   }
   EXPECT_EQ(r.extraMixSplits, mixSplits);
   EXPECT_EQ(r.extraInputDroplets, inputs);
-  if (r.shortfall > 0) EXPECT_TRUE(r.degraded);
+  if (r.shortfall > 0) {
+    EXPECT_TRUE(r.degraded);
+  }
 }
 
 TEST(Recovery, FaultFreeRunDeliversFullDemand) {

@@ -316,15 +316,15 @@ TEST(PassCacheAccounting, OptimizedPlanEvaluatesOnlyFittingCandidates) {
 
 // The heavy PCR stream of the fleet benchmark (D=256, cap 3, Mlb mixers):
 // the verified search probes 13 distinct demands, and 8 of them park 4 to
-// 95 droplets. fits() proves those over the cap without a full
-// evaluation (one is probed twice and read from the floor memo), so only the
-// 5 demands that fit are evaluated, and the plan is unchanged.
+// 95 droplets. fits() proves each of those over the cap once without a full
+// evaluation, so only the 5 demands that fit are evaluated, and the plan is
+// unchanged.
 TEST(PassCacheAccounting, InfeasibleProbesSkipFullEvaluation) {
   MdstEngine engine = engineFor("2:1:1:1:1:1:9");
   PassCache cache;
   const StreamingPlan plan = planStreaming(engine, request(256, 3, 0), cache);
   EXPECT_EQ(cache.stats().misses, 5u);
-  EXPECT_EQ(cache.stats().boundRejects, 9u);
+  EXPECT_EQ(cache.stats().boundRejects, 8u);
   EXPECT_EQ(cache.size(), 5u);
   EXPECT_EQ(plan.perPassDemand, 14u);
   EXPECT_EQ(plan.passes.size(), 19u);

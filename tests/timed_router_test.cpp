@@ -82,7 +82,10 @@ TEST(TimedRouter, ImpossiblePhaseThrows) {
   layout.add(Module{ModuleKind::kWaste, Cell{1, 0}, 1, 2, 0, "w1"});
   layout.add(Module{ModuleKind::kWaste, Cell{0, 1}, 1, 1, 0, "w2"});
   layout.add(Module{ModuleKind::kMixer, Cell{6, 6}, 1, 1, 0, "B"});
-  TimedRouter router(layout, TimedRouterOptions{32, 2});
+  TimedRouterOptions options;
+  options.horizon = 32;
+  options.retries = 2;
+  TimedRouter router(layout, options);
   EXPECT_THROW((void)router.routePhase({PhaseMove{Cell{0, 0}, Cell{6, 6}, 0}}),
                std::runtime_error);
 }

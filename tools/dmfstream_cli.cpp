@@ -330,12 +330,11 @@ Ratio requireRatio(const Args& args) {
 }
 
 mixgraph::Algorithm parseAlgo(const Args& args) {
-  const std::string name = args.get("algo").value_or("MM");
-  if (name == "MM") return mixgraph::Algorithm::MM;
-  if (name == "RMA") return mixgraph::Algorithm::RMA;
-  if (name == "MTCS") return mixgraph::Algorithm::MTCS;
-  if (name == "RSM") return mixgraph::Algorithm::RSM;
-  throw std::invalid_argument("--algo: unknown algorithm '" + name + "'");
+  try {
+    return server::parseAlgorithm(args.get("algo").value_or("MM"));
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("--algo: ") + e.what());
+  }
 }
 
 sched::Schedule makeSchedule(const forest::TaskForest& forest,
