@@ -79,7 +79,7 @@ SocketServer::SocketServer(PlanService& service,
 
 SocketServer::~SocketServer() {
   stop();
-  joinConnections();
+  joinWorkers();
   closeFd(listenFd_);
   listenFd_ = -1;
 }
@@ -98,37 +98,68 @@ void SocketServer::run() {
     obs::count("server.connections");
     obs::LogLine(obs::LogLevel::kDebug, "server.connection.accept")
         .num("fd", static_cast<std::uint64_t>(fd));
-    const std::lock_guard<std::mutex> lock(connectionsMutex_);
-    // Reap finished connections before adding one: an unjoined thread keeps
-    // its stack mapped, so a long-lived daemon would otherwise grow by one
-    // stack per connection it ever served.
-    for (auto it = connections_.begin(); it != connections_.end();) {
-      if (it->done.load(std::memory_order_acquire)) {
-        it->thread.join();
-        it = connections_.erase(it);
-      } else {
-        ++it;
-      }
-    }
     const unsigned user = nextUser_.fetch_add(1, std::memory_order_relaxed);
-    Connection& connection = connections_.emplace_back();
-    connection.thread = std::thread([this, fd, user, &connection] {
-      serveConnection(fd, user);
-      connection.done.store(true, std::memory_order_release);
-    });
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      // Reap retired workers: an unjoined thread keeps its stack mapped.
+      for (auto it = workers_.begin(); it != workers_.end();) {
+        if (it->done) {
+          it->thread.join();
+          it = workers_.erase(it);
+        } else {
+          ++it;
+        }
+      }
+      queue_.push_back(Accepted{fd, user});
+      if (idle_ < queue_.size()) {
+        ++idle_;
+        Worker& worker = workers_.emplace_back();
+        worker.thread = std::thread([this, &worker] { workerLoop(worker); });
+      }
+      // A finished connection's worker waits here for the next connection
+      // instead of exiting; the idle workers the queue does not need now
+      // are spares and exit. So a client that reconnects per request reuses
+      // one thread (and its thread_local planning scratch), the pool
+      // follows the latest burst of connections, and no thread exits while
+      // no connection arrives.
+      retiring_ = idle_ - queue_.size();
+    }
+    wake_.notify_all();
   }
-  // Join what is there; late connection threads are joined by ~SocketServer.
-  joinConnections();
+  stop();  // an accept that broke ends serving too
+  joinWorkers();
 }
 
-void SocketServer::joinConnections() {
-  std::list<Connection> connections;
-  {
-    const std::lock_guard<std::mutex> lock(connectionsMutex_);
-    connections.swap(connections_);
+void SocketServer::workerLoop(Worker& self) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    wake_.wait(lock, [this] {
+      return !queue_.empty() || retiring_ > 0 ||
+             stopping_.load(std::memory_order_acquire);
+    });
+    --idle_;
+    if (queue_.empty()) {  // retired, or stopping with nothing left
+      if (retiring_ > 0) --retiring_;
+      self.done = true;
+      return;
+    }
+    const Accepted next = queue_.front();
+    queue_.pop_front();
+    lock.unlock();
+    serveConnection(next.fd, next.user);
+    lock.lock();
+    ++idle_;
   }
-  for (Connection& connection : connections) {
-    if (connection.thread.joinable()) connection.thread.join();
+}
+
+void SocketServer::joinWorkers() {
+  std::list<Worker> workers;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    workers.swap(workers_);
+  }
+  for (Worker& worker : workers) {
+    if (worker.thread.joinable()) worker.thread.join();
   }
 }
 
@@ -137,6 +168,9 @@ void SocketServer::stop() {
   // Shutting down the listening socket pops accept() out with an error,
   // which is the loop's exit signal.
   if (listenFd_ >= 0) ::shutdown(listenFd_, SHUT_RDWR);
+  // Taking the mutex orders the flag before any worker's next wait.
+  { const std::lock_guard<std::mutex> lock(mutex_); }
+  wake_.notify_all();
 }
 
 void SocketServer::serveConnection(int fd, unsigned user) {

@@ -11,8 +11,10 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <iosfwd>
 #include <list>
 #include <mutex>
@@ -48,35 +50,47 @@ class SocketServer {
   [[nodiscard]] unsigned short port() const { return port_; }
 
   /// Accept loop: blocks until stop() is called or a {"op":"shutdown"}
-  /// request arrives. Joins finished connection threads as it accepts new
-  /// ones, and every connection thread before returning.
+  /// request arrives. Hands each connection to a worker thread and joins
+  /// every worker before returning.
   void run();
 
   /// Thread-safe: wakes the accept loop and begins draining.
   void stop();
 
  private:
-  /// One connection's thread. `done` is the thread's last act, so a done
-  /// connection joins without blocking.
-  struct Connection {
+  /// An accepted connection waiting for a worker.
+  struct Accepted {
+    int fd;
+    unsigned user;
+  };
+  /// One worker thread. `done` (guarded by mutex_) is its last act, so a
+  /// done worker joins without blocking.
+  struct Worker {
     std::thread thread;
-    std::atomic<bool> done{false};
+    bool done = false;
   };
 
+  /// A worker serves queued connections one after another. It exits on
+  /// stop(), or when a new connection retires it as a spare.
+  void workerLoop(Worker& self);
   /// `user` is the connection's identity for fleet arbitration: the accept
   /// order index, stable for a connection's whole lifetime.
   void serveConnection(int fd, unsigned user);
-  /// Joins every connection thread, running or not.
-  void joinConnections();
+  /// Joins every worker, each once its connection has closed.
+  void joinWorkers();
 
   PlanService& service_;
   int listenFd_ = -1;
   unsigned short port_ = 0;
   std::atomic<unsigned> nextUser_{0};
   std::atomic<bool> stopping_{false};
-  std::mutex connectionsMutex_;
-  /// A list, so a running thread's `done` flag never moves.
-  std::list<Connection> connections_;
+  std::mutex mutex_;  ///< guards everything below
+  std::condition_variable wake_;
+  std::deque<Accepted> queue_;
+  /// A list, so a running worker's `done` flag never moves.
+  std::list<Worker> workers_;
+  std::size_t idle_ = 0;      ///< workers not serving a connection
+  std::size_t retiring_ = 0;  ///< idle workers asked to exit
 };
 
 /// Test/CI driver: connects to 127.0.0.1:port, sends every line of `in` as

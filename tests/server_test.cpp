@@ -913,6 +913,78 @@ TEST(ServerSocket, ClosedConnectionsReleaseTheirThreads) {
   EXPECT_LT(after - before, std::int64_t{256} * 1024);
 }
 
+/// Threads of this process, from /proc/self/task.
+std::size_t threadCount() {
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"),
+      std::filesystem::directory_iterator{}));
+}
+
+/// Opens a connection and has it answer one ping; -1 on failure.
+int pingedConnection(unsigned short port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  const std::string ping = "{\"op\":\"ping\"}\n";
+  char ch = 0;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::send(fd, ping.data(), ping.size(), 0) != static_cast<ssize_t>(ping.size())) {
+    ::close(fd);
+    return -1;
+  }
+  while (::recv(fd, &ch, 1, 0) == 1 && ch != '\n') {
+  }
+  if (ch != '\n') {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(ServerSocket, WorkersOutliveTheirConnectionsUntilTheNextAccept) {
+  PlanService service(ServiceOptions{});
+  SocketServer socket(service, SocketServerOptions{0});
+  std::thread serverThread([&socket] { socket.run(); });
+  const std::size_t before = threadCount();
+
+  // Three connections open at once get a worker each.
+  std::vector<int> open;
+  for (int i = 0; i < 3; ++i) open.push_back(pingedConnection(socket.port()));
+  for (const int fd : open) EXPECT_GE(fd, 0);
+  EXPECT_EQ(threadCount(), before + 3);
+
+  // Closing them leaves every worker alive (a thread's CPU time and
+  // thread_local scratch stay with it) while no connection arrives.
+  for (const int fd : open) ::close(fd);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(threadCount(), before + 3);
+
+  // Connections made one after another reuse idle workers, and each
+  // accept retires the idle ones the queue does not need; a worker still
+  // finishing the previous connection may make one more for a while. Once
+  // every worker is idle, one more connection leaves just its own.
+  for (int i = 0; i < 50; ++i) {
+    const int fd = pingedConnection(socket.port());
+    EXPECT_GE(fd, 0);
+    ::close(fd);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const int last = pingedConnection(socket.port());
+  EXPECT_GE(last, 0);
+  for (int i = 0; i < 200 && threadCount() > before + 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(threadCount(), before + 1);
+  ::close(last);
+
+  socket.stop();
+  serverThread.join();
+  EXPECT_EQ(threadCount(), before - 1);
+}
+
 TEST(ServerSocket, MalformedLinesKeepTheConnectionAlive) {
   PlanService service(ServiceOptions{});
   SocketServer socket(service, SocketServerOptions{0});
