@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "dmf/errors.h"
+#include "dmf/parse.h"
 #include "engine/pass_cache.h"
 #include "engine/recovery.h"
 #include "engine/serialize.h"
@@ -73,8 +74,9 @@ FuzzCase FuzzCase::fromJson(const report::Json& json) {
     c.algorithm = server::parseAlgorithm(json.at("algorithm").asString());
     c.scheme = server::parseScheme(json.at("scheme").asString());
     c.demand = json.at("demand").asUint();
-    c.mixers = static_cast<unsigned>(json.at("mixers").asUint());
-    c.storageCap = static_cast<unsigned>(json.at("storageCap").asUint());
+    c.mixers = narrowUnsigned<unsigned>(json.at("mixers").asUint(), "mixers");
+    c.storageCap =
+        narrowUnsigned<unsigned>(json.at("storageCap").asUint(), "storageCap");
     c.faultSpec = json.at("faultSpec").asString();
     c.faultSeed = json.at("faultSeed").asUint();
   } catch (const std::out_of_range& e) {

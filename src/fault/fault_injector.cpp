@@ -1,28 +1,12 @@
 #include "fault/fault_injector.h"
 
-#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
+#include "dmf/parse.h"
 #include "obs/scope.h"
 
 namespace dmf::fault {
-namespace {
-
-// Parses one "key=value" token of a fault spec. Returns false when the key
-// is unknown (the caller composes the error message).
-double parseRate(const std::string& token, const std::string& value) {
-  double out = 0.0;
-  const char* first = value.data();
-  const char* last = value.data() + value.size();
-  auto [ptr, ec] = std::from_chars(first, last, out);
-  if (ec != std::errc{} || ptr != last) {
-    throw std::invalid_argument("fault spec: bad number in \"" + token + "\"");
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string_view faultKindName(FaultKind kind) {
   switch (kind) {
@@ -41,20 +25,9 @@ bool FaultSpec::any() const {
 
 FaultSpec FaultSpec::parse(const std::string& text) {
   FaultSpec spec;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) comma = text.size();
-    const std::string token = text.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (token.empty()) continue;
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("fault spec: expected key=value, got \"" +
-                                  token + "\"");
-    }
-    const std::string key = token.substr(0, eq);
-    const double value = parseRate(token, token.substr(eq + 1));
+  for (const std::string& item : splitList(text, ',', "fault spec")) {
+    const auto [key, valueText] = splitField(item);
+    const double value = readFinite(valueText, "fault spec: " + key);
     const bool isEps = key == "eps";
     if (value < 0.0 || value > 1.0 || (isEps && value == 0.0)) {
       throw std::invalid_argument("fault spec: \"" + key + "\" must be in " +

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "dmf/errors.h"
+#include "dmf/parse.h"
 #include "engine/pass_cache.h"
 #include "journal/journal.h"
 #include "obs/scope.h"
@@ -15,55 +16,6 @@
 namespace dmf::fleet {
 
 namespace {
-
-/// Splits "a;b;c" into non-empty trimmed entries.
-std::vector<std::string> splitEntries(const std::string& spec, char sep) {
-  std::vector<std::string> entries;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    std::size_t next = spec.find(sep, pos);
-    if (next == std::string::npos) next = spec.size();
-    std::string entry = spec.substr(pos, next - pos);
-    while (!entry.empty() && entry.front() == ' ') entry.erase(entry.begin());
-    while (!entry.empty() && entry.back() == ' ') entry.pop_back();
-    if (!entry.empty()) entries.push_back(std::move(entry));
-    pos = next + 1;
-  }
-  return entries;
-}
-
-/// Splits one "key=value,key=value,flag" entry into (key, value) pairs
-/// (flags get an empty value).
-std::vector<std::pair<std::string, std::string>> splitFields(
-    const std::string& entry) {
-  std::vector<std::pair<std::string, std::string>> fields;
-  for (const std::string& token : splitEntries(entry, ',')) {
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      fields.emplace_back(token, "");
-    } else {
-      fields.emplace_back(token.substr(0, eq), token.substr(eq + 1));
-    }
-  }
-  return fields;
-}
-
-std::uint64_t parseU64Field(const std::string& key, const std::string& value,
-                            const char* who) {
-  try {
-    if (value.empty() || value.find_first_not_of("0123456789") !=
-                             std::string::npos) {
-      throw std::invalid_argument(value);
-    }
-    std::size_t used = 0;
-    const unsigned long long parsed = std::stoull(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string(who) + ": bad value for '" + key +
-                                "': '" + value + "'");
-  }
-}
 
 mixgraph::Algorithm parseAlgorithmName(const std::string& name) {
   if (name == "MM" || name == "mm") return mixgraph::Algorithm::MM;
@@ -137,18 +89,17 @@ report::Json planJson(const engine::StreamingPlan& plan) {
 
 std::vector<ChipSpec> parseChips(const std::string& spec) {
   std::vector<ChipSpec> chips;
-  for (const std::string& entry : splitEntries(spec, ';')) {
+  for (const std::string& entry : splitList(spec, ';', "parseChips")) {
     ChipSpec chip;
-    for (const auto& [key, value] : splitFields(entry)) {
+    for (const std::string& field : splitList(entry, ',', "parseChips")) {
+      const auto [key, value] = splitField(field);
+      const std::string what = "parseChips: " + key;
       if (key == "mixers") {
-        chip.mixers =
-            static_cast<unsigned>(parseU64Field(key, value, "parseChips"));
+        chip.mixers = readUnsigned<unsigned>(value, what);
       } else if (key == "storage") {
-        chip.storageCap =
-            static_cast<unsigned>(parseU64Field(key, value, "parseChips"));
+        chip.storageCap = readUnsigned<unsigned>(value, what);
       } else if (key == "dead") {
-        chip.deadMixers =
-            static_cast<unsigned>(parseU64Field(key, value, "parseChips"));
+        chip.deadMixers = readUnsigned<unsigned>(value, what);
       } else {
         throw std::invalid_argument("parseChips: unknown field '" + key + "'");
       }
@@ -186,12 +137,14 @@ std::vector<UserStream> parseUsers(const std::string& spec) {
   // a command separator in most shells, so scripts can pass "a|b|c" unquoted.
   std::string normalized = spec;
   std::replace(normalized.begin(), normalized.end(), '|', ';');
-  for (const std::string& entry : splitEntries(normalized, ';')) {
+  for (const std::string& entry : splitList(normalized, ';', "parseUsers")) {
     UserStream user;
     user.request.demand = 16;
     user.request.storageCap = 3;
     bool haveRatio = false;
-    for (const auto& [key, value] : splitFields(entry)) {
+    for (const std::string& field : splitList(entry, ',', "parseUsers")) {
+      const auto [key, value] = splitField(field);
+      const std::string what = "parseUsers: " + key;
       if (key == "ratio") {
         haveRatio = true;
         auto ratio = Ratio::parse(value);
@@ -201,22 +154,13 @@ std::vector<UserStream> parseUsers(const std::string& spec) {
         }
         user.ratio = *ratio;
       } else if (key == "demand") {
-        user.request.demand = parseU64Field(key, value, "parseUsers");
+        user.request.demand = readUnsigned<std::uint64_t>(value, what);
       } else if (key == "storage") {
-        user.request.storageCap =
-            static_cast<unsigned>(parseU64Field(key, value, "parseUsers"));
+        user.request.storageCap = readUnsigned<unsigned>(value, what);
       } else if (key == "mixers") {
-        user.request.mixers =
-            static_cast<unsigned>(parseU64Field(key, value, "parseUsers"));
+        user.request.mixers = readUnsigned<unsigned>(value, what);
       } else if (key == "weight") {
-        try {
-          std::size_t used = 0;
-          user.weight = std::stod(value, &used);
-          if (used != value.size()) throw std::invalid_argument(value);
-        } catch (const std::exception&) {
-          throw std::invalid_argument("parseUsers: bad weight '" + value +
-                                      "'");
-        }
+        user.weight = readFinite(value, what);
         if (!(user.weight > 0.0)) {
           throw std::invalid_argument("parseUsers: weight must be > 0");
         }
@@ -247,12 +191,14 @@ KillSpec parseKill(const std::string& spec) {
   kill.active = true;
   bool haveChip = false;
   bool haveCycle = false;
-  for (const auto& [key, value] : splitFields(spec)) {
+  for (const std::string& field : splitList(spec, ',', "parseKill")) {
+    const auto [key, value] = splitField(field);
+    const std::string what = "parseKill: " + key;
     if (key == "chip") {
-      kill.chip = static_cast<unsigned>(parseU64Field(key, value, "parseKill"));
+      kill.chip = readUnsigned<unsigned>(value, what);
       haveChip = true;
     } else if (key == "cycle") {
-      kill.cycle = parseU64Field(key, value, "parseKill");
+      kill.cycle = readUnsigned<std::uint64_t>(value, what);
       haveCycle = true;
     } else {
       throw std::invalid_argument("parseKill: unknown field '" + key + "'");

@@ -1,8 +1,9 @@
 #include "fleet/policy.h"
 
 #include <algorithm>
-#include <charconv>
 #include <stdexcept>
+
+#include "dmf/parse.h"
 
 namespace dmf::fleet {
 
@@ -205,25 +206,12 @@ std::unique_ptr<ArbitrationPolicy> makePolicy(const std::string& name) {
 
 std::vector<double> parseWeights(const std::string& spec) {
   std::vector<double> weights;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const std::string token =
-        spec.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    try {
-      std::size_t used = 0;
-      const double value = std::stod(token, &used);
-      if (used != token.size()) throw std::invalid_argument(token);
-      weights.push_back(value);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("parseWeights: bad weight '" + token + "'");
-    }
+  for (const std::string& item : splitList(spec, ',', "parseWeights")) {
+    weights.push_back(readFinite(item, "parseWeights"));
     if (!(weights.back() > 0.0)) {
       throw std::invalid_argument("parseWeights: weights must be > 0, got '" +
-                                  token + "'");
+                                  item + "'");
     }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
   }
   if (weights.empty()) {
     throw std::invalid_argument("parseWeights: empty weight list");

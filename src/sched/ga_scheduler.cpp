@@ -1,13 +1,15 @@
 #include "sched/ga_scheduler.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <random>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "obs/scope.h"
-#include "sched/fitness_memo.h"
 #include "sched/list_scheduler.h"
 #include "sched/schedulers.h"
 
@@ -20,6 +22,26 @@ namespace {
 
 // Lexicographic fitness: completion time, then storage. Smaller is better.
 using Score = std::pair<unsigned, unsigned>;
+
+// FNV-1a over the chromosome's key bit patterns. Keys are uniform draws in
+// [0, 1) or the seed's non-negative cycle numbers, never -0.0 or NaN, so
+// equal bits and == agree; the map compares the full key vector on every
+// lookup, so a hash collision is never a hit.
+struct ChromosomeHash {
+  std::size_t operator()(const std::vector<double>& keys) const {
+    std::uint64_t hash = 1469598103934665603ull;
+    for (const double key : keys) {
+      std::uint64_t bits = 0;
+      static_assert(sizeof(bits) == sizeof(key));
+      std::memcpy(&bits, &key, sizeof(bits));
+      for (unsigned byte = 0; byte < 8; ++byte) {
+        hash ^= (bits >> (byte * 8)) & 0xFFu;
+        hash *= 1099511628211ull;
+      }
+    }
+    return static_cast<std::size_t>(hash);
+  }
+};
 
 // Decodes random-key chromosomes on the shared list-scheduling driver: ready
 // tasks run in ascending (key, id) order, at most `mixers` per cycle. The
@@ -73,33 +95,29 @@ class FitnessEvaluator {
 
   void scoreTail(std::vector<Individual>& population, std::size_t first) {
     misses_.clear();
-    const std::uint64_t collisionsBefore = memo_.collisions();
     for (std::size_t i = first; i < population.size(); ++i) {
-      // The memo compares the full key vector on a hash hit — a colliding
-      // chromosome re-scores instead of inheriting the wrong fitness.
-      if (const Score* hit = memo_.find(population[i].keys)) {
-        population[i].score = *hit;
+      if (const auto hit = memo_.find(population[i].keys); hit != memo_.end()) {
+        population[i].score = hit->second;
         obs::count("sched.ga.memo_hits");
       } else {
         misses_.push_back(i);
         obs::count("sched.ga.memo_misses");
       }
     }
-    if (const std::uint64_t c = memo_.collisions() - collisionsBefore) {
-      obs::count("sched.ga.memo_collisions", c);
-    }
     for (const std::size_t index : misses_) {
       Individual& ind = population[index];
       ind.score = decoder_.score(ind.keys);
     }
     for (const std::size_t index : misses_) {
-      memo_.insert(population[index].keys, population[index].score);
+      // A duplicate within the batch keeps the first score; scores are a
+      // pure function of the keys, so they cannot differ.
+      memo_.emplace(population[index].keys, population[index].score);
     }
   }
 
  private:
   Decoder decoder_;
-  FitnessMemo<Score> memo_;
+  std::unordered_map<std::vector<double>, Score, ChromosomeHash> memo_;
   std::vector<std::size_t> misses_;
 };
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "mixgraph/builders.h"
-#include "sched/fitness_memo.h"
 #include "sched/schedulers.h"
 
 namespace dmf::sched {
@@ -117,66 +116,6 @@ TEST(GaScheduler, CanReduceStorageBeyondOms) {
   if (ga.completionTime == oms.completionTime) {
     EXPECT_LE(countStorage(f, ga), countStorage(f, oms));
   }
-}
-
-// --------------------------------------------------------------------------
-// FitnessMemo: the memo must never trust a hash match alone. These tests
-// force collisions through a degenerate hash function — under the pre-fix
-// design (bare FNV-1a lookup) every chromosome would "hit" the first entry
-// and inherit the wrong fitness.
-
-std::uint64_t constantHash(const std::vector<double>&) { return 42; }
-
-TEST(FitnessMemo, CollidingKeysDoNotAlias) {
-  FitnessMemo<int> memo(&constantHash);
-  const std::vector<double> a{0.1, 0.2, 0.3};
-  const std::vector<double> b{0.9, 0.8, 0.7};  // same hash, different keys
-  memo.insert(a, 111);
-  ASSERT_NE(memo.find(a), nullptr);
-  EXPECT_EQ(*memo.find(a), 111);
-  // The collision is detected, counted, and answered with a miss — not
-  // with a's fitness.
-  EXPECT_EQ(memo.find(b), nullptr);
-  EXPECT_GE(memo.collisions(), 1u);
-  memo.insert(b, 222);
-  EXPECT_EQ(*memo.find(a), 111);
-  EXPECT_EQ(*memo.find(b), 222);
-  EXPECT_EQ(memo.size(), 2u);
-}
-
-TEST(FitnessMemo, DuplicateInsertKeepsFirstValue) {
-  FitnessMemo<int> memo(&constantHash);
-  const std::vector<double> a{0.5};
-  memo.insert(a, 1);
-  memo.insert(a, 2);  // fitness is a pure function of the keys
-  EXPECT_EQ(*memo.find(a), 1);
-  EXPECT_EQ(memo.size(), 1u);
-}
-
-TEST(FitnessMemo, DefaultHashDistinguishesNearbyKeys) {
-  FitnessMemo<int> memo;
-  const std::vector<double> a{0.25, 0.5};
-  const std::vector<double> b{0.25, 0.5000000001};
-  memo.insert(a, 7);
-  EXPECT_EQ(*memo.find(a), 7);
-  EXPECT_EQ(memo.find(b), nullptr);
-  EXPECT_EQ(memo.find({}), nullptr);
-  EXPECT_EQ(memo.collisions(), 0u);
-}
-
-TEST(FitnessMemo, HashOnlyLookupWouldAliasTheseKeys) {
-  // Pin the failure mode itself: the two key vectors collide under the
-  // degenerate hash, so any design that compares hashes instead of keys
-  // cannot tell them apart. Guards against regressing to the old lookup.
-  const std::vector<double> a{0.1};
-  const std::vector<double> b{0.2};
-  EXPECT_EQ(constantHash(a), constantHash(b));
-  EXPECT_NE(a, b);
-  FitnessMemo<int> memo(&constantHash);
-  memo.insert(a, 10);
-  memo.insert(b, 20);
-  EXPECT_EQ(*memo.find(a), 10);
-  EXPECT_EQ(*memo.find(b), 20);
 }
 
 }  // namespace

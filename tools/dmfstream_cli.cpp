@@ -39,7 +39,6 @@
 
 #include <atomic>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -59,6 +58,7 @@
 #include "analysis/error_model.h"
 #include "check/fuzzer.h"
 #include "dmf/errors.h"
+#include "dmf/parse.h"
 #include "chip/contamination.h"
 #include "chip/executor.h"
 #include "chip/pcr_layout.h"
@@ -117,31 +117,17 @@ struct Args {
     }
     return it->second;
   }
-  [[nodiscard]] std::uint64_t getU64(const std::string& key,
-                                     std::uint64_t fallback) const {
+  /// The option's value as a checked T (an unsigned integer type or
+  /// double; dmf/parse.h), or `fallback` when the option is absent.
+  template <typename T>
+  [[nodiscard]] T number(const std::string& key, T fallback) const {
     const auto text = get(key);
     if (!text.has_value()) return fallback;
-    std::uint64_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text->data(), text->data() + text->size(), value);
-    if (ec != std::errc{} || ptr != text->data() + text->size()) {
-      throw std::invalid_argument("--" + key + ": expected a number, got '" +
-                                  *text + "'");
+    if constexpr (std::is_floating_point_v<T>) {
+      return readFinite(*text, "--" + key);
+    } else {
+      return readUnsigned<T>(*text, "--" + key);
     }
-    return value;
-  }
-  [[nodiscard]] double getDouble(const std::string& key,
-                                 double fallback) const {
-    const auto text = get(key);
-    if (!text.has_value()) return fallback;
-    double value = 0.0;
-    const auto [ptr, ec] =
-        std::from_chars(text->data(), text->data() + text->size(), value);
-    if (ec != std::errc{} || ptr != text->data() + text->size()) {
-      throw std::invalid_argument("--" + key + ": expected a number, got '" +
-                                  *text + "'");
-    }
-    return value;
   }
 };
 
@@ -345,11 +331,9 @@ sched::Schedule makeSchedule(const forest::TaskForest& forest,
   if (scheme == "OMS") return sched::scheduleOMS(forest, mixers);
   if (scheme == "GA") {
     sched::GaOptions options;
-    options.population =
-        static_cast<unsigned>(args.getU64("ga-pop", options.population));
-    options.generations =
-        static_cast<unsigned>(args.getU64("ga-gens", options.generations));
-    options.seed = args.getU64("ga-seed", options.seed);
+    options.population = args.number<unsigned>("ga-pop", options.population);
+    options.generations = args.number<unsigned>("ga-gens", options.generations);
+    options.seed = args.number<std::uint64_t>("ga-seed", options.seed);
     return sched::scheduleGA(forest, mixers, options);
   }
   throw std::invalid_argument("--scheme: unknown scheme '" + scheme + "'");
@@ -357,9 +341,8 @@ sched::Schedule makeSchedule(const forest::TaskForest& forest,
 
 int cmdPlan(const Args& args, const Ratio& ratio) {
   engine::MdstEngine engine(ratio);
-  const std::uint64_t demand = args.getU64("demand", 2);
-  const auto mixers =
-      static_cast<unsigned>(args.getU64("mixers", engine.defaultMixers()));
+  const std::uint64_t demand = args.number<std::uint64_t>("demand", 2);
+  const auto mixers = args.number<unsigned>("mixers", engine.defaultMixers());
   const std::string scheme = args.get("scheme").value_or("SRS");
 
   const forest::TaskForest forest = engine.buildForest(parseAlgo(args), demand);
@@ -385,7 +368,7 @@ int cmdPlan(const Args& args, const Ratio& ratio) {
     return 0;
   }
   if (args.get("split-error").has_value()) {
-    const double eps = args.getDouble("split-error", 0.0);
+    const double eps = args.number<double>("split-error", 0.0);
     const analysis::NodeError err = analysis::targetError(
         engine.baseGraph(parseAlgo(args)), analysis::ErrorOptions{eps, 0.0});
     table.addRow({"worst CF error @eps=" + *args.get("split-error"),
@@ -419,10 +402,10 @@ int cmdStream(const Args& args, const Ratio& ratio) {
   engine::MdstEngine engine(ratio);
   journal::StreamRunRequest run;
   run.streaming.algorithm = parseAlgo(args);
-  run.streaming.demand = args.getU64("demand", 2);
-  run.streaming.storageCap = static_cast<unsigned>(args.getU64("storage", 5));
-  run.streaming.mixers = static_cast<unsigned>(args.getU64("mixers", 0));
-  run.streaming.jobs = static_cast<unsigned>(args.getU64("jobs", 1));
+  run.streaming.demand = args.number<std::uint64_t>("demand", 2);
+  run.streaming.storageCap = args.number<unsigned>("storage", 5);
+  run.streaming.mixers = args.number<unsigned>("mixers", 0);
+  run.streaming.jobs = args.number<unsigned>("jobs", 1);
   run.optimize = args.has("optimize");
 
   // --inject replays every pass against the seeded fault model with
@@ -433,21 +416,19 @@ int cmdStream(const Args& args, const Ratio& ratio) {
   if (args.get("inject").has_value()) {
     run.inject = true;
     run.faults = fault::FaultSpec::parse(*args.get("inject"));
-    run.faultSeed = args.getU64("fault-seed", 1);
-    run.retryBudget =
-        static_cast<unsigned>(args.getU64("retry-budget", run.retryBudget));
-    run.checkpointEvery =
-        static_cast<unsigned>(args.getU64("checkpoint-every", 1));
-    run.detectLatency =
-        static_cast<unsigned>(args.getU64("detect-latency", 0));
+    run.faultSeed = args.number<std::uint64_t>("fault-seed", 1);
+    run.retryBudget = args.number<unsigned>("retry-budget", run.retryBudget);
+    run.checkpointEvery = args.number<unsigned>("checkpoint-every", 1);
+    run.detectLatency = args.number<unsigned>("detect-latency", 0);
   }
 
   journal::StreamRunOptions journalOptions;
   journalOptions.journalDir = args.get("journal").value_or("");
   journalOptions.resume = args.has("resume");
-  journalOptions.snapshotEvery = static_cast<unsigned>(
-      args.getU64("snapshot-every", journalOptions.snapshotEvery));
-  journalOptions.stopAfterPass = args.getU64("crash-after-pass", 0);
+  journalOptions.snapshotEvery =
+      args.number<unsigned>("snapshot-every", journalOptions.snapshotEvery);
+  journalOptions.stopAfterPass =
+      args.number<std::uint64_t>("crash-after-pass", 0);
 
   // --stats also reports the SRS refinement counters, which live in the obs
   // registry: without a --trace/--metrics session, collect them in a
@@ -530,7 +511,7 @@ int cmdStream(const Args& args, const Ratio& ratio) {
     }
     std::cout << "\nfault injection (--inject "
               << *args.get("inject") << ", seed "
-              << args.getU64("fault-seed", 1) << "):\n"
+              << run.faultSeed << "):\n"
               << faultTable.render() << "recovered " << delivered << "/"
               << (delivered + shortfall) << " targets, " << faults
               << " faults, " << extraMixSplits << " extra mix-splits";
@@ -573,21 +554,14 @@ int cmdDilute(const Args& args) {
     throw std::invalid_argument("--sample is required (e.g. 5/2^4)");
   }
   const auto slash = text->find("/2^");
-  std::uint64_t numerator = 0;
-  unsigned accuracy = 0;
-  bool ok = slash != std::string::npos;
-  if (ok) {
-    const std::string num = text->substr(0, slash);
-    const std::string exp = text->substr(slash + 3);
-    ok = std::from_chars(num.data(), num.data() + num.size(), numerator)
-                 .ec == std::errc{} &&
-         std::from_chars(exp.data(), exp.data() + exp.size(), accuracy).ec ==
-             std::errc{};
-  }
-  if (!ok) {
+  if (slash == std::string::npos) {
     throw std::invalid_argument("--sample: expected a/2^d, got '" + *text +
                                 "'");
   }
+  const auto numerator =
+      readUnsigned<std::uint64_t>(text->substr(0, slash), "--sample a");
+  const auto accuracy = readUnsigned<unsigned>(text->substr(slash + 3),
+                                               "--sample d");
   const mixgraph::MixingGraph graph =
       mixgraph::buildDilution(numerator, accuracy);
   Args planArgs = args;
@@ -597,9 +571,8 @@ int cmdDilute(const Args& args) {
 
 int cmdChip(const Args& args, const Ratio& ratio) {
   engine::MdstEngine engine(ratio);
-  const std::uint64_t demand = args.getU64("demand", 2);
-  const auto mixers =
-      static_cast<unsigned>(args.getU64("mixers", engine.defaultMixers()));
+  const std::uint64_t demand = args.number<std::uint64_t>("demand", 2);
+  const auto mixers = args.number<unsigned>("mixers", engine.defaultMixers());
   const forest::TaskForest forest =
       engine.buildForest(parseAlgo(args), demand);
   const sched::Schedule schedule = sched::scheduleSRS(forest, mixers);
@@ -668,21 +641,9 @@ int cmdMulti(const Args& args) {
     throw std::invalid_argument(
         "multi needs --targets R1;R2;... and --demands D1,D2,...");
   }
-  auto splitOn = [](const std::string& text, char sep) {
-    std::vector<std::string> parts;
-    std::size_t start = 0;
-    while (start <= text.size()) {
-      const std::size_t end = text.find(sep, start);
-      parts.push_back(text.substr(
-          start, end == std::string::npos ? std::string::npos : end - start));
-      if (end == std::string::npos) break;
-      start = end + 1;
-    }
-    return parts;
-  };
   std::vector<engine::TargetDemand> targets;
-  const auto ratios = splitOn(*targetsText, ';');
-  const auto demands = splitOn(*demandsText, ',');
+  const auto ratios = splitList(*targetsText, ';', "--targets");
+  const auto demands = splitList(*demandsText, ',', "--demands");
   if (ratios.size() != demands.size() || ratios.empty()) {
     throw std::invalid_argument(
         "multi: --targets and --demands must list the same number of items");
@@ -693,20 +654,13 @@ int cmdMulti(const Args& args) {
       throw std::invalid_argument("multi: malformed ratio '" + ratios[i] +
                                   "'");
     }
-    std::uint64_t demand = 0;
-    const auto [ptr, ec] = std::from_chars(
-        demands[i].data(), demands[i].data() + demands[i].size(), demand);
-    if (ec != std::errc{} || ptr != demands[i].data() + demands[i].size()) {
-      throw std::invalid_argument("multi: malformed demand '" + demands[i] +
-                                  "'");
-    }
-    targets.push_back({*ratio, demand});
+    targets.push_back(
+        {*ratio, readUnsigned<std::uint64_t>(demands[i], "--demands")});
   }
   const auto planStart = std::chrono::steady_clock::now();
   const engine::MultiTargetResult r = engine::runMultiTarget(
-      targets, engine::Scheme::kSRS,
-      static_cast<unsigned>(args.getU64("mixers", 0)),
-      static_cast<unsigned>(args.getU64("jobs", 1)));
+      targets, engine::Scheme::kSRS, args.number<unsigned>("mixers", 0),
+      args.number<unsigned>("jobs", 1));
   const auto planNanos = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - planStart)
@@ -759,9 +713,9 @@ int cmdMulti(const Args& args) {
 
 int cmdFuzz(const Args& args) {
   check::FuzzOptions options;
-  options.seed = args.getU64("seed", 1);
-  options.iterations = args.getU64("iters", 200);
-  options.timeBudgetSeconds = args.getDouble("time-budget", 0.0);
+  options.seed = args.number<std::uint64_t>("seed", 1);
+  options.iterations = args.number<std::uint64_t>("iters", 200);
+  options.timeBudgetSeconds = args.number<double>("time-budget", 0.0);
   options.scope = args.get("scope").value_or("all");
   const check::Fuzzer fuzzer(options);
 
@@ -800,15 +754,14 @@ int cmdFleet(const Args& args) {
   if (const auto chips = args.get("chips"); chips.has_value()) {
     options.chips = fleet::parseChips(*chips);
   } else {
-    options.chips =
-        fleet::defaultFleet(static_cast<unsigned>(args.getU64("fleet", 4)));
+    options.chips = fleet::defaultFleet(args.number<unsigned>("fleet", 4));
   }
   options.policy = args.get("policy").value_or("fifo");
   if (const auto weights = args.get("weights"); weights.has_value()) {
     options.weights = fleet::parseWeights(*weights);
   }
-  options.quantum = args.getDouble("quantum", 0.0);
-  options.jobs = static_cast<unsigned>(args.getU64("jobs", 1));
+  options.quantum = args.number<double>("quantum", 0.0);
+  options.jobs = args.number<unsigned>("jobs", 1);
   options.journalDir = args.get("journal").value_or("");
   if (const auto kill = args.get("kill"); kill.has_value()) {
     options.kill = fleet::parseKill(*kill);
@@ -871,11 +824,7 @@ extern "C" void onServeSignal(int signo) {
 }
 
 int cmdServe(const Args& args) {
-  const std::uint64_t port = args.getU64("port", 0);
-  if (port > 65535) {
-    throw std::invalid_argument("--port: must be 0..65535, got " +
-                                std::to_string(port));
-  }
+  const auto port = args.number<std::uint16_t>("port", 0);
   // The daemon always keeps a live metrics registry so `dmfstream stats
   // --port P` can scrape it. Without --trace/--metrics (no session from
   // main()) the session is metrics-only: counters are bounded, whereas
@@ -888,22 +837,21 @@ int cmdServe(const Args& args) {
     scope = std::make_unique<obs::Scope>(*session);
   }
   server::ServiceOptions options;
-  options.cacheSize = static_cast<std::size_t>(args.getU64("cache-size", 256));
+  options.cacheSize = args.number<std::size_t>("cache-size", 256);
   options.cacheDir = args.get("cache-dir").value_or("");
   options.journalDir = args.get("journal").value_or("");
-  options.jobs = static_cast<unsigned>(args.getU64("jobs", 1));
+  options.jobs = args.number<unsigned>("jobs", 1);
   // Admission arbitration with per-connection user identity (DESIGN.md §17).
   options.fleetPolicy = args.get("policy").value_or("fifo");
   if (const auto weights = args.get("weights"); weights.has_value()) {
     options.fleetWeights = fleet::parseWeights(*weights);
   }
-  options.fleetQuantum = args.getDouble("quantum", 0.0);
+  options.fleetQuantum = args.number<double>("quantum", 0.0);
   server::PlanService service(options);
   // Requests a previous daemon admitted but never finished replay before
   // the socket opens, so their plans are cached before any client retries.
   (void)service.replayJournal();
-  server::SocketServer socket(
-      service, server::SocketServerOptions{static_cast<unsigned short>(port)});
+  server::SocketServer socket(service, server::SocketServerOptions{port});
   // The bound port goes to stderr: ephemeral ports differ run to run, and
   // stdout must stay byte-deterministic (the serve smoke test diffs it).
   std::cerr << "listening on 127.0.0.1:" << socket.port() << "\n";
@@ -984,15 +932,13 @@ int cmdStats(const Args& args) {
     buffer << in.rdbuf();
     snapshot = report::Json::parse(buffer.str());
   } else if (args.get("port").has_value()) {
-    const std::uint64_t port = args.getU64("port", 0);
-    if (port == 0 || port > 65535) {
-      throw std::invalid_argument("--port: must be 1..65535, got " +
-                                  std::to_string(port));
+    const auto port = args.number<std::uint16_t>("port", 0);
+    if (port == 0) {
+      throw std::invalid_argument("--port: must be 1..65535, got 0");
     }
     std::istringstream request("{\"op\":\"stats\"}\n");
     std::ostringstream response;
-    if (!server::driveLines(static_cast<unsigned short>(port), request,
-                            response)) {
+    if (!server::driveLines(port, request, response)) {
       throw std::runtime_error("stats: connection to 127.0.0.1:" +
                                std::to_string(port) + " failed");
     }
@@ -1023,11 +969,9 @@ int cmdStats(const Args& args) {
 }
 
 int cmdCorpus(const Args& args) {
-  const std::uint64_t sum = args.getU64("sum", 32);
-  const std::size_t minN =
-      static_cast<std::size_t>(args.getU64("min-fluids", 2));
-  const std::size_t maxN =
-      static_cast<std::size_t>(args.getU64("max-fluids", 12));
+  const std::uint64_t sum = args.number<std::uint64_t>("sum", 32);
+  const auto minN = args.number<std::size_t>("min-fluids", 2);
+  const auto maxN = args.number<std::size_t>("max-fluids", 12);
   const auto corpus = workload::partitionCorpus(sum, minN, maxN);
   report::Table table({"fluids N", "ratios"});
   std::map<std::size_t, std::size_t> byN;
