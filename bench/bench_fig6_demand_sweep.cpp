@@ -14,15 +14,17 @@
 // for every job count.
 #include <cstdint>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "dmf/parse.h"
 #include "engine/baseline.h"
 #include "engine/mdst.h"
 #include "engine/pass_cache.h"
 #include "report/chart.h"
 #include "report/table.h"
-#include "runtime/thread_pool.h"
+#include "runtime/parallel_for.h"
 #include "workload/ratio_corpus.h"
 
 #include "bench_obs.h"
@@ -35,7 +37,12 @@ int main(int argc, char** argv) {
   unsigned jobs = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<unsigned>(std::stoul(argv[++i]));
+      try {
+        jobs = readUnsigned<unsigned>(argv[++i], "--jobs");
+      } catch (const std::invalid_argument& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 1;
+      }
     }
   }
 
@@ -56,8 +63,7 @@ int main(int argc, char** argv) {
       corpus.size(), std::vector<std::vector<Cell>>(
                          demands.size(), std::vector<Cell>(4)));
 
-  runtime::ThreadPool pool(runtime::ThreadPool::resolveJobs(jobs));
-  pool.forEach(corpus.size(), [&](std::uint64_t ri) {
+  runtime::parallelFor(jobs, corpus.size(), [&](std::uint64_t ri) {
     engine::MdstEngine engine(corpus[ri]);
     engine::PassCache cache;
     const unsigned mixers = engine.defaultMixers();

@@ -76,8 +76,8 @@ struct MdstRequest {
 /// completion), exactly as the paper's evaluation does.
 ///
 /// Const member functions are safe to call concurrently: the lazy base-graph
-/// and default-mixer caches are guarded by an internal mutex, so a ThreadPool
-/// can fan pass evaluations over one shared engine.
+/// and default-mixer caches are guarded by an internal mutex, so
+/// runtime::parallelFor can fan pass evaluations over one shared engine.
 class MdstEngine {
  public:
   explicit MdstEngine(Ratio ratio);

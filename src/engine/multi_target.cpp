@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "obs/scope.h"
-#include "runtime/thread_pool.h"
+#include "runtime/parallel_for.h"
 
 namespace dmf::engine {
 
@@ -48,11 +48,11 @@ MultiTargetResult runMultiTarget(const std::vector<TargetDemand>& targets,
 
   // Separate baseline: each target gets its own engine run on the same
   // mixer bank; runs execute back to back. The runs are independent, so
-  // they fan out over the pool; each writes its own slot and the reduction
-  // below walks the slots in target order (deterministic for any `jobs`).
+  // they fan out over `jobs` threads; each writes its own slot and the
+  // reduction below walks the slots in target order (deterministic for any
+  // `jobs`).
   std::vector<MdstResult> perTarget(targets.size());
-  runtime::ThreadPool pool(runtime::ThreadPool::resolveJobs(jobs));
-  pool.forEach(targets.size(), [&](std::uint64_t i) {
+  runtime::parallelFor(jobs, targets.size(), [&](std::uint64_t i) {
     const TargetDemand& t = targets[i];
     const MdstEngine engine(t.ratio);
     MdstRequest request;

@@ -8,7 +8,7 @@
 #include "dmf/errors.h"
 #include "engine/pass_cache.h"
 #include "obs/scope.h"
-#include "runtime/thread_pool.h"
+#include "runtime/parallel_for.h"
 
 namespace dmf::engine {
 
@@ -222,11 +222,11 @@ StreamingPlan planStreamingOptimized(const MdstEngine& engine,
   // D' is settled by the time it is read, so a serial run has nothing to
   // warm. With workers, settle the whole range in parallel first; the
   // reduction then only reads entries and the floor memo.
-  const unsigned jobs = runtime::ThreadPool::resolveJobs(request.jobs);
+  const unsigned jobs = runtime::resolveJobs(request.jobs);
   if (jobs > 1) {
-    runtime::ThreadPool pool(jobs);
-    pool.forEach(demand,
-                 [&ctx](std::uint64_t i) { (void)ctx.feasible(i + 1); });
+    runtime::parallelFor(jobs, demand, [&ctx](std::uint64_t i) {
+      (void)ctx.feasible(i + 1);
+    });
   }
 
   const auto better = [](const StreamingPlan& a, const StreamingPlan& b) {

@@ -11,7 +11,7 @@
 #include "engine/pass_cache.h"
 #include "journal/journal.h"
 #include "obs/scope.h"
-#include "runtime/thread_pool.h"
+#include "runtime/parallel_for.h"
 
 namespace dmf::fleet {
 
@@ -345,19 +345,16 @@ FleetResult dispatchFleet(const std::vector<UserStream>& users,
   }
 
   // Phase 1 — plan every user's stream. One result slot per user, fanned
-  // out over the pool: byte-identical for every job count.
-  {
-    runtime::ThreadPool pool(runtime::ThreadPool::resolveJobs(options.jobs));
-    pool.forEach(users.size(), [&](std::uint64_t u) {
-      engine::MdstEngine engine(users[u].ratio);
-      engine::PassCache cache;
-      engine::StreamingRequest request = users[u].request;
-      request.jobs = 1;  // the fleet pool already provides the parallelism
-      result.users[u].plan =
-          users[u].optimize ? planStreamingOptimized(engine, request, cache)
-                            : planStreaming(engine, request, cache);
-    });
-  }
+  // out over `jobs` threads: byte-identical for every job count.
+  runtime::parallelFor(options.jobs, users.size(), [&](std::uint64_t u) {
+    engine::MdstEngine engine(users[u].ratio);
+    engine::PassCache cache;
+    engine::StreamingRequest request = users[u].request;
+    request.jobs = 1;  // the fleet loop already provides the parallelism
+    result.users[u].plan =
+        users[u].optimize ? planStreamingOptimized(engine, request, cache)
+                          : planStreaming(engine, request, cache);
+  });
 
   // Admission: every pass of every user, in (user, passIndex) order.
   const std::unique_ptr<ArbitrationPolicy> policy = makePolicy(options.policy);

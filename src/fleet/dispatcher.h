@@ -4,7 +4,7 @@
 // Split follows the ytsaurus scheduler / controller-agent pattern:
 //
 //  * the DISPATCHER decides *what runs where* — it plans every user's
-//    stream (engine/streaming, fanned out over the shared worker pool with
+//    stream (engine/streaming, fanned out over runtime::parallelFor with
 //    one result slot per user, so planning is byte-identical across
 //    --jobs), admits every pass as a WorkItem, and runs a serial
 //    virtual-time loop: policy picks the user, the dispatcher places the
@@ -62,8 +62,8 @@ struct ChipSpec {
 struct UserStream {
   Ratio ratio{std::vector<std::uint64_t>{1, 3}};
   /// Streaming request. request.jobs is overridden to 1: users are planned
-  /// in parallel on the dispatcher's pool, so an optimized user's candidate
-  /// sweep runs serially inside it.
+  /// in parallel over the dispatcher's --jobs threads, so an optimized
+  /// user's candidate sweep runs serially inside it.
   engine::StreamingRequest request;
   /// Plan with planStreamingOptimized instead of planStreaming.
   bool optimize = false;

@@ -8,13 +8,14 @@
 #include <utility>
 
 #include "dmf/errors.h"
+#include "dmf/parse.h"
 #include "engine/serialize.h"
 #include "engine/streaming.h"
 #include "journal/server_journal.h"
 #include "obs/log.h"
 #include "obs/scope.h"
 #include "report/json.h"
-#include "runtime/thread_pool.h"
+#include "runtime/parallel_for.h"
 
 namespace dmf::server {
 
@@ -28,7 +29,7 @@ AdmissionGate::AdmissionGate(const ServiceOptions& options)
                  ? 16
                  : static_cast<unsigned>(options.fleetWeights.size())),
       policy_(dmf::fleet::makePolicy(options.fleetPolicy)),
-      free_(runtime::ThreadPool::resolveJobs(options.jobs)) {
+      free_(runtime::resolveJobs(options.jobs)) {
   policy_->setUsers(users_);
   if (!options.fleetWeights.empty()) policy_->setWeights(options.fleetWeights);
   policy_->setQuantum(options.fleetQuantum);
@@ -213,7 +214,10 @@ std::string PlanService::handlePlan(const Json& request,
   // reaches the canonical key: user identity must not fragment the cache.
   if (request.contains("user")) {
     try {
-      user = static_cast<unsigned>(request.at("user").asUint());
+      user = narrowUnsigned<unsigned>(request.at("user").asUint(),
+                                      "request field \"user\"");
+    } catch (const std::invalid_argument& e) {
+      return errorResponse("request", e.what());
     } catch (const std::logic_error&) {
       return errorResponse("request",
                            "request field \"user\" must be a number");

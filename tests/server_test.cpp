@@ -402,6 +402,14 @@ TEST(ServerService, UserFieldOverridesConnectionIdentityButNotTheKey) {
   const report::Json rejected = report::Json::parse(service.handle(bad));
   EXPECT_FALSE(rejected.at("ok").asBool());
   EXPECT_EQ(rejected.at("kind").asString(), "request");
+  // A user past unsigned is out of range, not wrapped onto another tenant.
+  std::string wide = base;
+  wide.insert(wide.size() - 1, ",\"user\":4294967297");
+  const report::Json outOfRange = report::Json::parse(service.handle(wide));
+  EXPECT_FALSE(outOfRange.at("ok").asBool());
+  EXPECT_EQ(outOfRange.at("kind").asString(), "request");
+  EXPECT_NE(outOfRange.at("error").asString().find("0..4294967295"),
+            std::string::npos);
 }
 
 // --------------------------------------------------------------------------

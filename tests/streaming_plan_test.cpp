@@ -1,5 +1,5 @@
 // Regression tests for the streaming-planner storage-cap fixes and the
-// pass-evaluation layer (PassCache over runtime::ThreadPool).
+// pass-evaluation layer (PassCache under runtime::parallelFor).
 //
 // The two planner bugs covered here shipped in the original bisection
 // planner: (1) the remainder pass was never checked against the storage cap,
@@ -22,7 +22,7 @@
 #include "engine/mdst.h"
 #include "engine/pass_cache.h"
 #include "engine/streaming.h"
-#include "runtime/thread_pool.h"
+#include "runtime/parallel_for.h"
 
 namespace dmf::engine {
 namespace {
@@ -259,9 +259,8 @@ TEST(StreamingPlanParallel, OptimizedFourThreadsMatchOneThread) {
 TEST(PassCacheAccounting, ConcurrentEvaluationIsConsistent) {
   MdstEngine engine = engineFor("2:1:1:1:1:1:9");
   PassCache cache;
-  runtime::ThreadPool pool(4);
   std::vector<unsigned> storage(64);
-  pool.forEach(storage.size(), [&](std::uint64_t i) {
+  runtime::parallelFor(4, storage.size(), [&](std::uint64_t i) {
     // Demands overlap heavily (i % 8), forcing hit and miss paths to race.
     storage[i] = cache
                      .evaluate(engine, Algorithm::MM, Scheme::kSRS, 3,
@@ -377,13 +376,12 @@ TEST(PassCacheAccounting, FitsAnswersFromFloorMemo) {
 TEST(PassCacheAccounting, ConcurrentFitsIsConsistent) {
   MdstEngine engine = engineFor("2:1:1:1:1:1:9");
   PassCache cache;
-  runtime::ThreadPool pool(4);
   const auto demandOf = [](std::uint64_t i) { return 8 + 7 * (i % 6); };
   const auto capOf = [](std::uint64_t i) {
     return static_cast<unsigned>(1 + (i / 6) % 5);
   };
   std::vector<char> fits(90);
-  pool.forEach(fits.size(), [&](std::uint64_t i) {
+  runtime::parallelFor(4, fits.size(), [&](std::uint64_t i) {
     fits[i] = cache.fits(engine, Algorithm::MM, Scheme::kSRS, 3, demandOf(i),
                          capOf(i));
   });

@@ -1,5 +1,5 @@
 // Span-context propagation (DESIGN.md §14): parent/child identity on one
-// thread, cross-thread adoption via ContextGuard, and the ThreadPool
+// thread, cross-thread adoption via ContextGuard, and the parallelFor
 // guarantee that spans opened inside worker tasks splice into the
 // dispatching request's trace — no orphans, for any job count.
 #include <gtest/gtest.h>
@@ -14,7 +14,7 @@
 #include "obs/scope.h"
 #include "obs/trace.h"
 #include "report/json.h"
-#include "runtime/thread_pool.h"
+#include "runtime/parallel_for.h"
 
 namespace dmf::obs {
 namespace {
@@ -130,7 +130,7 @@ TEST(TraceContextTest, ContextGuardRestoresPreviousContext) {
   EXPECT_EQ(currentContext().spanId, before.spanId);
 }
 
-// The load-bearing concurrency property: a 4-thread pool dispatching many
+// The load-bearing concurrency property: a 4-job parallelFor running many
 // tasks, each opening nested spans, must produce one consistent tree — every
 // task span a child of the dispatching request span, every inner span a
 // child of its task span, all sharing the request's trace id, no orphans.
@@ -140,8 +140,7 @@ TEST(TraceContextTest, PoolWorkersSpliceIntoTheDispatchingTrace) {
   {
     const Scope scope(session);
     const Span request("request", "test");
-    runtime::ThreadPool pool(4);
-    pool.forEach(kTasks, [](std::uint64_t i) {
+    runtime::parallelFor(4, kTasks, [](std::uint64_t i) {
       Span task("task", "test");
       task.arg("index", std::to_string(i));
       { const Span inner("task.inner", "test"); }
@@ -224,8 +223,7 @@ TEST(TraceContextTest, SpanTreeShapeIsIdenticalAcrossJobCounts) {
     {
       const Scope scope(session);
       const Span request("request", "test");
-      runtime::ThreadPool pool(jobs);
-      pool.forEach(16, [](std::uint64_t) {
+      runtime::parallelFor(jobs, 16, [](std::uint64_t) {
         const Span task("task", "test");
         const Span inner("task.inner", "test");
       });
