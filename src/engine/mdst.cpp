@@ -83,27 +83,31 @@ void recordScheduleObservability(const TaskForest& forest,
 
 sched::Schedule schedule(const TaskForest& forest, Scheme scheme,
                          unsigned mixers) {
-  return *schedule(forest, scheme, mixers, std::nullopt);
+  sched::PlanScratch scratch;
+  return *schedule(forest, scheme, mixers, std::nullopt, scratch);
 }
 
 std::optional<sched::Schedule> schedule(const TaskForest& forest,
                                         Scheme scheme, unsigned mixers,
-                                        std::optional<unsigned> cap) {
+                                        std::optional<unsigned> cap,
+                                        sched::PlanScratch& scratch) {
   std::optional<sched::Schedule> s =
       [&]() -> std::optional<sched::Schedule> {
     switch (scheme) {
       case Scheme::kMMS: {
         const obs::Span span("sched.MMS", "sched");
-        return sched::scheduleMMS(forest, mixers);
+        return sched::scheduleMMS(forest, mixers, scratch);
       }
       case Scheme::kSRS: {
         const obs::Span span("sched.SRS", "sched");
-        if (cap.has_value()) return sched::scheduleSRS(forest, mixers, *cap);
-        return sched::scheduleSRS(forest, mixers);
+        if (cap.has_value()) {
+          return sched::scheduleSRS(forest, mixers, *cap, scratch);
+        }
+        return sched::scheduleSRS(forest, mixers, scratch);
       }
       case Scheme::kOMS: {
         const obs::Span span("sched.OMS", "sched");
-        return sched::scheduleOMS(forest, mixers);
+        return sched::scheduleOMS(forest, mixers, scratch);
       }
     }
     throw std::invalid_argument("schedule: unknown scheme");

@@ -31,10 +31,10 @@ enum class Scheme {
 
 /// As above under an optional storage cap: SRS returns nullopt when it
 /// provably stores more than `cap` (the capped sched::scheduleSRS); every
-/// other answer is the uncapped schedule.
+/// other answer is the uncapped schedule. The scheduler borrows `scratch`.
 [[nodiscard]] std::optional<sched::Schedule> schedule(
     const forest::TaskForest& forest, Scheme scheme, unsigned mixers,
-    std::optional<unsigned> cap);
+    std::optional<unsigned> cap, sched::PlanScratch& scratch);
 
 /// Everything the paper reports about one MDST run.
 struct MdstResult {

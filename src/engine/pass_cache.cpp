@@ -55,18 +55,34 @@ std::optional<StreamingPass> evaluatePass(const MdstEngine& engine,
                                           std::uint64_t demand,
                                           std::optional<unsigned> cap,
                                           PassCacheStats* stageNanos) {
+  sched::PlanScratch scratch;
+  return evaluatePass(engine, algorithm, scheme, mixers, demand, cap,
+                      stageNanos, scratch);
+}
+
+std::optional<StreamingPass> evaluatePass(const MdstEngine& engine,
+                                          mixgraph::Algorithm algorithm,
+                                          Scheme scheme, unsigned mixers,
+                                          std::uint64_t demand,
+                                          std::optional<unsigned> cap,
+                                          PassCacheStats* stageNanos,
+                                          sched::PlanScratch& scratch) {
   const mixgraph::MixingGraph& graph = engine.baseGraph(algorithm);
   auto start = std::chrono::steady_clock::now();
-  const forest::TaskForest f = [&] {
+  const forest::TaskForest& f = [&]() -> const forest::TaskForest& {
     const obs::Span span("engine.forest_build");
-    return forest::TaskForest(graph, demand);
+    if (!scratch.forest.has_value()) {
+      return scratch.forest.emplace(graph, demand);
+    }
+    scratch.forest->rebuild(graph, demand);
+    return *scratch.forest;
   }();
   const std::uint64_t buildNanos = nanosSince(start);
 
   start = std::chrono::steady_clock::now();
   const std::optional<sched::Schedule> s = [&] {
     const obs::Span span("engine.schedule");
-    return schedule(f, scheme, mixers, cap);
+    return schedule(f, scheme, mixers, cap, scratch);
   }();
   const std::uint64_t scheduleNanos = nanosSince(start);
   if (!s.has_value()) return std::nullopt;
@@ -77,7 +93,7 @@ std::optional<StreamingPass> evaluatePass(const MdstEngine& engine,
     const obs::Span span("engine.storage_count");
     pass.demand = demand;
     pass.cycles = s->completionTime;
-    pass.storageUnits = sched::countStorage(f, *s);
+    pass.storageUnits = sched::countStorage(f, *s, scratch);
     pass.waste = f.stats().waste;
     pass.inputDroplets = f.stats().inputTotal;
     pass.mixSplits = f.stats().mixSplits;
@@ -94,8 +110,9 @@ std::optional<StreamingPass> evaluatePass(const MdstEngine& engine,
     m->counter("engine.pass_eval.build_nanos").add(buildNanos);
     m->counter("engine.pass_eval.schedule_nanos").add(scheduleNanos);
     m->counter("engine.pass_eval.storage_nanos").add(storageNanos);
-    m->histogram("engine.pass_eval.micros",
-                 {10, 50, 100, 500, 1000, 5000, 10000, 50000, 100000})
+    static constexpr std::uint64_t kMicrosBounds[] = {
+        10, 50, 100, 500, 1000, 5000, 10000, 50000, 100000};
+    m->histogram("engine.pass_eval.micros", kMicrosBounds)
         .observe((buildNanos + scheduleNanos + storageNanos) / 1000);
   }
   return pass;
@@ -104,20 +121,37 @@ std::optional<StreamingPass> evaluatePass(const MdstEngine& engine,
 StreamingPass PassCache::evaluate(const MdstEngine& engine,
                                   mixgraph::Algorithm algorithm, Scheme scheme,
                                   unsigned mixers, std::uint64_t demand) {
-  return *probe(engine, {algorithm, scheme, mixers, demand}, std::nullopt);
+  sched::PlanScratch scratch;
+  return evaluate(engine, algorithm, scheme, mixers, demand, scratch);
+}
+
+StreamingPass PassCache::evaluate(const MdstEngine& engine,
+                                  mixgraph::Algorithm algorithm, Scheme scheme,
+                                  unsigned mixers, std::uint64_t demand,
+                                  sched::PlanScratch& scratch) {
+  return *probe(engine, {algorithm, scheme, mixers, demand}, std::nullopt,
+                scratch);
 }
 
 bool PassCache::fits(const MdstEngine& engine, mixgraph::Algorithm algorithm,
                      Scheme scheme, unsigned mixers, std::uint64_t demand,
                      unsigned cap) {
+  sched::PlanScratch scratch;
+  return fits(engine, algorithm, scheme, mixers, demand, cap, scratch);
+}
+
+bool PassCache::fits(const MdstEngine& engine, mixgraph::Algorithm algorithm,
+                     Scheme scheme, unsigned mixers, std::uint64_t demand,
+                     unsigned cap, sched::PlanScratch& scratch) {
   const std::optional<StreamingPass> pass =
-      probe(engine, {algorithm, scheme, mixers, demand}, cap);
+      probe(engine, {algorithm, scheme, mixers, demand}, cap, scratch);
   return pass.has_value() && pass->storageUnits <= cap;
 }
 
 std::optional<StreamingPass> PassCache::probe(const MdstEngine& engine,
                                               const PassKey& key,
-                                              std::optional<unsigned> cap) {
+                                              std::optional<unsigned> cap,
+                                              sched::PlanScratch& scratch) {
   bool floorExceeds = false;
   {
     const std::shared_lock<std::shared_mutex> lock(mutex_);
@@ -144,8 +178,9 @@ std::optional<StreamingPass> PassCache::probe(const MdstEngine& engine,
   // the evaluation (rare, harmless — the value is a pure function of the
   // key) rather than serializing every miss.
   PassCacheStats stage;
-  const std::optional<StreamingPass> pass = evaluatePass(
-      engine, key.algorithm, key.scheme, key.mixers, key.demand, cap, &stage);
+  const std::optional<StreamingPass> pass =
+      evaluatePass(engine, key.algorithm, key.scheme, key.mixers, key.demand,
+                   cap, &stage, scratch);
   if (!pass.has_value()) {
     {
       const std::unique_lock<std::shared_mutex> lock(mutex_);

@@ -15,6 +15,10 @@
 // A PassCache holds results for ONE target ratio: callers key caches per
 // MdstEngine (the key does not include the ratio). Sharing a cache between
 // engines with different ratios silently returns wrong passes.
+//
+// The cache is shared across threads, so it owns no scheduling scratch: a
+// call that computes borrows the caller's sched::PlanScratch (the overloads
+// without one make a local scratch).
 #pragma once
 
 #include <cstddef>
@@ -72,6 +76,11 @@ class PassCache {
                                        mixgraph::Algorithm algorithm,
                                        Scheme scheme, unsigned mixers,
                                        std::uint64_t demand);
+  [[nodiscard]] StreamingPass evaluate(const MdstEngine& engine,
+                                       mixgraph::Algorithm algorithm,
+                                       Scheme scheme, unsigned mixers,
+                                       std::uint64_t demand,
+                                       sched::PlanScratch& scratch);
 
   /// Whether the pass of `demand` droplets stores at most `cap` units.
   /// Answers from the first source that settles it: a memoized full pass;
@@ -83,6 +92,10 @@ class PassCache {
   [[nodiscard]] bool fits(const MdstEngine& engine,
                           mixgraph::Algorithm algorithm, Scheme scheme,
                           unsigned mixers, std::uint64_t demand, unsigned cap);
+  [[nodiscard]] bool fits(const MdstEngine& engine,
+                          mixgraph::Algorithm algorithm, Scheme scheme,
+                          unsigned mixers, std::uint64_t demand, unsigned cap,
+                          sched::PlanScratch& scratch);
 
   /// Non-computing lookup.
   [[nodiscard]] std::optional<StreamingPass> lookup(const PassKey& key) const;
@@ -101,7 +114,7 @@ class PassCache {
   /// nullopt only when the pass is proven to store more than `cap`.
   [[nodiscard]] std::optional<StreamingPass> probe(
       const MdstEngine& engine, const PassKey& key,
-      std::optional<unsigned> cap);
+      std::optional<unsigned> cap, sched::PlanScratch& scratch);
 
   mutable std::shared_mutex mutex_;
   std::unordered_map<PassKey, StreamingPass, PassKeyHash> entries_;
@@ -125,11 +138,16 @@ class PassCache {
 /// nullopt (the capped sched::scheduleSRS, which then skips the refinement);
 /// every other call returns the full pass, the same with or without a cap.
 /// `stageNanos`, when non-null, receives the per-stage wall times of a full
-/// pass.
+/// pass. The forest (rebuilt in place), the scheduler and the storage count
+/// borrow `scratch`; the overload without one makes a local scratch.
 [[nodiscard]] std::optional<StreamingPass> evaluatePass(
     const MdstEngine& engine, mixgraph::Algorithm algorithm, Scheme scheme,
     unsigned mixers, std::uint64_t demand,
     std::optional<unsigned> cap = std::nullopt,
     PassCacheStats* stageNanos = nullptr);
+[[nodiscard]] std::optional<StreamingPass> evaluatePass(
+    const MdstEngine& engine, mixgraph::Algorithm algorithm, Scheme scheme,
+    unsigned mixers, std::uint64_t demand, std::optional<unsigned> cap,
+    PassCacheStats* stageNanos, sched::PlanScratch& scratch);
 
 }  // namespace dmf::engine

@@ -66,26 +66,34 @@ StreamingPlan assemblePlan(std::uint64_t perPass, unsigned mixers,
   return plan;
 }
 
-// Shared candidate-evaluation context of one planning call.
+// Candidate-evaluation context of one planning call. It owns the call's
+// scheduling scratch, so every pass it evaluates costs only its own forest
+// and the scratch is freed when the plan is done.
 struct PlanContext {
   const MdstEngine& engine;
   const StreamingRequest& request;
   unsigned mixers;
   PassCache& cache;
+  sched::PlanScratch scratch{};
 
-  [[nodiscard]] StreamingPass eval(std::uint64_t demand) const {
+  [[nodiscard]] StreamingPass eval(std::uint64_t demand) {
     return cache.evaluate(engine, request.algorithm, request.scheme, mixers,
-                          demand);
+                          demand, scratch);
   }
-  [[nodiscard]] bool feasible(std::uint64_t demand) const {
+  [[nodiscard]] bool feasible(std::uint64_t demand) {
+    return feasible(demand, scratch);
+  }
+  /// As above on another scratch: one per index of a parallel sweep.
+  [[nodiscard]] bool feasible(std::uint64_t demand,
+                              sched::PlanScratch& own) const {
     return cache.fits(engine, request.algorithm, request.scheme, mixers,
-                      demand, request.storageCap);
+                      demand, request.storageCap, own);
   }
 };
 
 // Largest feasible demand in [floor, upper], scanning downward. Returns
 // nullopt when none is feasible.
-std::optional<std::uint64_t> largestFeasibleDescending(const PlanContext& ctx,
+std::optional<std::uint64_t> largestFeasibleDescending(PlanContext& ctx,
                                                        std::uint64_t floor,
                                                        std::uint64_t upper) {
   for (std::uint64_t d = upper; d >= floor; --d) {
@@ -97,7 +105,7 @@ std::optional<std::uint64_t> largestFeasibleDescending(const PlanContext& ctx,
 
 // The paper's rule with a verified search: largest feasible per-pass demand,
 // bisection first, descending scan when the monotonicity probe fails.
-std::uint64_t largestFeasiblePerPass(const PlanContext& ctx,
+std::uint64_t largestFeasiblePerPass(PlanContext& ctx,
                                      std::uint64_t minPass,
                                      std::uint64_t demand) {
   if (ctx.feasible(demand)) return demand;  // single pass serves everything
@@ -152,7 +160,7 @@ StreamingPlan planStreaming(const MdstEngine& engine,
   const unsigned mixers =
       request.mixers == 0 ? engine.defaultMixers() : request.mixers;
   const std::uint64_t demand = request.demand;
-  const PlanContext ctx{engine, request, mixers, cache};
+  PlanContext ctx{engine, request, mixers, cache};
 
   const std::uint64_t minPass = std::min<std::uint64_t>(demand, 2);
   if (!ctx.feasible(minPass)) {
@@ -215,7 +223,7 @@ StreamingPlan planStreamingOptimized(const MdstEngine& engine,
   const unsigned mixers =
       request.mixers == 0 ? engine.defaultMixers() : request.mixers;
   const std::uint64_t demand = request.demand;
-  const PlanContext ctx{engine, request, mixers, cache};
+  PlanContext ctx{engine, request, mixers, cache};
 
   // The reduction below asks fits() for every candidate D' in [1, D] in
   // ascending order before it evaluates one, and each remainder D mod D' <
@@ -225,7 +233,8 @@ StreamingPlan planStreamingOptimized(const MdstEngine& engine,
   const unsigned jobs = runtime::resolveJobs(request.jobs);
   if (jobs > 1) {
     runtime::parallelFor(jobs, demand, [&ctx](std::uint64_t i) {
-      (void)ctx.feasible(i + 1);
+      sched::PlanScratch scratch;
+      (void)ctx.feasible(i + 1, scratch);
     });
   }
 

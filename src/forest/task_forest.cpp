@@ -27,6 +27,22 @@ OperandClass classify(const MixingGraph& graph, NodeId node) {
   return OperandClass::kTypeA;
 }
 
+// The root-demand constructors' argument checks.
+void checkRootDemands(const MixingGraph& graph, std::size_t count,
+                      const std::uint64_t* demands) {
+  if (!graph.finalized()) {
+    throw std::invalid_argument("TaskForest: graph must be finalized");
+  }
+  if (count != graph.roots().size()) {
+    throw std::invalid_argument(
+        "TaskForest: need exactly one demand per graph root (" +
+        std::to_string(graph.roots().size()) + ")");
+  }
+  if (std::find(demands, demands + count, 0) != demands + count) {
+    throw std::invalid_argument("TaskForest: demands must be positive");
+  }
+}
+
 }  // namespace
 
 TaskForest::TaskForest(const MixingGraph& graph, std::uint64_t demand)
@@ -35,20 +51,16 @@ TaskForest::TaskForest(const MixingGraph& graph, std::uint64_t demand)
 TaskForest::TaskForest(const MixingGraph& graph,
                        std::vector<std::uint64_t> demands)
     : graph_(&graph), demands_(std::move(demands)) {
-  if (!graph.finalized()) {
-    throw std::invalid_argument("TaskForest: graph must be finalized");
-  }
-  if (demands_.size() != graph.roots().size()) {
-    throw std::invalid_argument(
-        "TaskForest: need exactly one demand per graph root (" +
-        std::to_string(graph.roots().size()) + ")");
-  }
-  for (std::uint64_t d : demands_) {
-    if (d == 0) {
-      throw std::invalid_argument("TaskForest: demands must be positive");
-    }
-  }
+  checkRootDemands(graph, demands_.size(), demands_.data());
   demandNodes_ = graph.roots();
+  build();
+}
+
+void TaskForest::rebuild(const MixingGraph& graph, std::uint64_t demand) {
+  checkRootDemands(graph, 1, &demand);
+  graph_ = &graph;
+  demands_.assign(1, demand);
+  demandNodes_.assign(graph.roots().begin(), graph.roots().end());
   build();
 }
 
@@ -91,7 +103,7 @@ TaskForest::TaskForest(const MixingGraph& graph,
 void TaskForest::build() {
   const MixingGraph& graph = *graph_;
   const std::size_t nodeCount = graph.nodeCount();
-  const std::vector<NodeId> topDown = graph.nodesByLevelDesc();
+  const std::vector<NodeId>& topDown = graph.nodesByLevelDesc();
 
   // Build-time temporaries live in per-thread scratch vectors, refilled with
   // assign: a sweep re-building forests back to back reuses their capacity
@@ -117,7 +129,9 @@ void TaskForest::build() {
   std::vector<std::uint64_t>& need = scratch.need;
   need.assign(nodeCount, 0);
   execs_.assign(nodeCount, 0);
+  std::vector<std::uint64_t> inputPerFluid = std::move(stats_.inputPerFluid);
   stats_ = ForestStats{};
+  stats_.inputPerFluid = std::move(inputPerFluid);
   stats_.targets =
       std::accumulate(demands_.begin(), demands_.end(), std::uint64_t{0});
   stats_.inputPerFluid.assign(graph.ratio().fluidCount(), 0);
@@ -153,6 +167,7 @@ void TaskForest::build() {
   // ---- task instantiation (level-ascending id order) ---------------------
   std::vector<TaskId>& taskBase = scratch.taskBase;
   taskBase.assign(nodeCount, kNoTask);
+  tasks_.clear();
   tasks_.reserve(static_cast<std::size_t>(totalTasks));
   for (auto it = topDown.rbegin(); it != topDown.rend(); ++it) {
     const NodeId v = *it;

@@ -116,6 +116,12 @@ class TaskForest {
   TaskForest(const mixgraph::MixingGraph& graph,
              const std::vector<NodeDemand>& needs);
 
+  /// Makes this forest equal to TaskForest(graph, demand), reusing its
+  /// storage: building forests back to back into one object allocates only
+  /// when a forest outgrows the largest before it. Throws as that
+  /// constructor does; after a throw the forest must be rebuilt before use.
+  void rebuild(const mixgraph::MixingGraph& graph, std::uint64_t demand);
+
   [[nodiscard]] const mixgraph::MixingGraph& graph() const { return *graph_; }
   /// Total demand over all targets.
   [[nodiscard]] std::uint64_t demand() const;

@@ -166,6 +166,13 @@ std::vector<NodeId> MixingGraph::finalize(std::vector<NodeId> roots) {
     }
   }
 
+  levelOrder_.resize(nodes_.size());
+  for (NodeId id = 0; id < nodes_.size(); ++id) levelOrder_[id] = id;
+  std::stable_sort(levelOrder_.begin(), levelOrder_.end(),
+                   [this](NodeId a, NodeId b) {
+                     return nodes_[a].level > nodes_[b].level;
+                   });
+
   finalized_ = true;
   validateOrThrow();
   return roots_;
@@ -211,14 +218,9 @@ bool MixingGraph::isTree() const {
                      [](const std::vector<NodeId>& c) { return c.size() <= 1; });
 }
 
-std::vector<NodeId> MixingGraph::nodesByLevelDesc() const {
+const std::vector<NodeId>& MixingGraph::nodesByLevelDesc() const {
   requireFinalized("nodesByLevelDesc");
-  std::vector<NodeId> order(nodes_.size());
-  for (NodeId id = 0; id < nodes_.size(); ++id) order[id] = id;
-  std::stable_sort(order.begin(), order.end(), [this](NodeId a, NodeId b) {
-    return nodes_[a].level > nodes_[b].level;
-  });
-  return order;
+  return levelOrder_;
 }
 
 const std::vector<std::vector<NodeId>>& MixingGraph::consumers() const {

@@ -106,8 +106,8 @@ class MixingGraph {
   [[nodiscard]] bool isTree() const;
 
   /// Node ids ordered by level descending (every parent precedes its
-  /// children) — the order demand propagation wants.
-  [[nodiscard]] std::vector<NodeId> nodesByLevelDesc() const;
+  /// children) — the order demand propagation wants. Computed by finalize().
+  [[nodiscard]] const std::vector<NodeId>& nodesByLevelDesc() const;
 
   /// consumers()[v] lists each mix node that uses v as an operand, once per
   /// operand slot.
@@ -124,6 +124,7 @@ class MixingGraph {
   std::vector<Node> nodes_;
   std::vector<std::vector<NodeId>> consumers_;
   std::vector<NodeId> roots_;
+  std::vector<NodeId> levelOrder_;
   bool finalized_ = false;
 };
 

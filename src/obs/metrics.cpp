@@ -78,26 +78,42 @@ void Histogram::observe(std::uint64_t value) noexcept {
   sum_.fetch_add(value, std::memory_order_relaxed);
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
+namespace {
+
+// The named instrument of `instruments`, created by `make` on first use. The
+// key is copied into a std::string only then.
+template <typename Instrument, typename Make>
+Instrument& findOrCreate(
+    std::map<std::string, std::unique_ptr<Instrument>, std::less<>>&
+        instruments,
+    std::string_view name, Make make) {
+  auto it = instruments.find(name);
+  if (it == instruments.end()) {
+    it = instruments.emplace(std::string(name), make()).first;
+  }
+  return *it->second;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
+}  // namespace
+
+Counter& MetricsRegistry::counter(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
+  return findOrCreate(counters_, name,
+                      [] { return std::make_unique<Counter>(); });
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<std::uint64_t> bounds) {
+Gauge& MetricsRegistry::gauge(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>(std::move(bounds));
-  return *slot;
+  return findOrCreate(gauges_, name, [] { return std::make_unique<Gauge>(); });
+}
+
+Histogram& MetricsRegistry::histogram(std::string_view name,
+                                      std::span<const std::uint64_t> bounds) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return findOrCreate(histograms_, name, [bounds] {
+    return std::make_unique<Histogram>(
+        std::vector<std::uint64_t>(bounds.begin(), bounds.end()));
+  });
 }
 
 std::size_t MetricsRegistry::size() const {

@@ -15,10 +15,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "report/json.h"
@@ -96,18 +100,24 @@ class Histogram {
   std::atomic<std::uint64_t> sum_{0};
 };
 
-/// Thread-safe registry of named instruments. Creation takes a mutex; the
-/// returned references are stable for the registry's lifetime, so hot paths
-/// can look an instrument up once and update it lock-free thereafter.
+/// Thread-safe registry of named instruments. Lookup and creation take a
+/// mutex; the returned references are stable for the registry's lifetime, so
+/// hot paths can look an instrument up once and update it lock-free
+/// thereafter. A lookup of an existing name allocates nothing: the maps
+/// compare names as std::string_view.
 class MetricsRegistry {
  public:
   /// Gets or creates the named instrument.
-  [[nodiscard]] Counter& counter(const std::string& name);
-  [[nodiscard]] Gauge& gauge(const std::string& name);
+  [[nodiscard]] Counter& counter(std::string_view name);
+  [[nodiscard]] Gauge& gauge(std::string_view name);
   /// For an existing name the original bounds win (the `bounds` argument is
   /// ignored); histograms with one name must mean one thing.
-  [[nodiscard]] Histogram& histogram(const std::string& name,
-                                     std::vector<std::uint64_t> bounds);
+  [[nodiscard]] Histogram& histogram(std::string_view name,
+                                     std::span<const std::uint64_t> bounds);
+  [[nodiscard]] Histogram& histogram(
+      std::string_view name, std::initializer_list<std::uint64_t> bounds) {
+    return histogram(name, std::span(bounds.begin(), bounds.size()));
+  }
 
   /// Instruments registered so far (all three kinds).
   [[nodiscard]] std::size_t size() const;
@@ -120,9 +130,9 @@ class MetricsRegistry {
 
  private:
   mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
+  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
+  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
 /// Estimated q-quantile of a fixed-bucket histogram, by linear interpolation

@@ -45,7 +45,7 @@ struct ChromosomeHash {
 
 // Decodes random-key chromosomes on the shared list-scheduling driver: ready
 // tasks run in ascending (key, id) order, at most `mixers` per cycle. The
-// ready heap and the schedule are reused across decodes.
+// ready heap, the scratch and the schedule are reused across decodes.
 class Decoder {
  public:
   Decoder(const TaskForest& forest, unsigned mixers)
@@ -57,7 +57,7 @@ class Decoder {
   const Schedule& decode(const std::vector<double>& keys) {
     detail::HeapPolicy policy(
         heap_, [&keys](TaskId id) { return std::make_pair(keys[id], id); });
-    if (!detail::runListScheduler(forest_.initialPending(),
+    if (!detail::runListScheduler(scratch_.list, forest_.initialPending(),
                                   detail::consumersOf(forest_), mixers_,
                                   policy, schedule_)) {
       throw std::logic_error("GA: scheduler stalled");
@@ -67,13 +67,14 @@ class Decoder {
 
   Score score(const std::vector<double>& keys) {
     const Schedule& s = decode(keys);
-    return {s.completionTime, countStorage(forest_, s)};
+    return {s.completionTime, countStorage(forest_, s, scratch_)};
   }
 
  private:
   const TaskForest& forest_;
   unsigned mixers_;
   std::vector<std::pair<double, TaskId>> heap_;
+  PlanScratch scratch_;
   Schedule schedule_;
 };
 

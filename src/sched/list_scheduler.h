@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "forest/task_forest.h"
+#include "sched/plan_scratch.h"
 #include "sched/schedule.h"
 
 namespace dmf::sched::detail {
@@ -88,19 +89,6 @@ class HeapPolicy {
   KeyOf keyOf_;
 };
 
-/// The driver's reusable bookkeeping. Runs never nest, so one per thread.
-struct ListScratch {
-  std::vector<unsigned> pending;
-  /// arrivals[t] = tasks that become schedulable at cycle t (1-based).
-  std::vector<std::vector<forest::TaskId>> arrivals;
-  std::vector<forest::TaskId> batch;
-};
-
-inline ListScratch& listScratch() {
-  static thread_local ListScratch scratch;
-  return scratch;
-}
-
 /// Unit-time list scheduling into `out`: a task becomes schedulable the
 /// cycle after its last predecessor runs. `pendingCounts[id]` is the number
 /// of predecessor releases task `id` waits for; `successors(id)` names the
@@ -111,31 +99,34 @@ inline ListScratch& listScratch() {
 /// mixer index (paper Algorithms 1/2). Returns false on an abandoned run or
 /// a stall: a cycle that runs nothing releases nothing and leaves the
 /// policy's queue and state as they were, so no later cycle runs anything.
+/// A task released in cycle t is schedulable at t + 1, so the run keeps two
+/// arrival slots, the current cycle's and the next one's, and swaps them
+/// each cycle: its cost never depends on how long earlier runs on the same
+/// scratch were.
 template <typename Successors, typename Policy>
-bool runListScheduler(const std::vector<std::uint8_t>& pendingCounts,
+bool runListScheduler(ListScratch& scratch,
+                      const std::vector<std::uint8_t>& pendingCounts,
                       Successors successors, unsigned capacity,
                       Policy& policy, Schedule& out) {
   const std::size_t n = pendingCounts.size();
   out.reset(n);
   out.completionTime = 0;
-  ListScratch& scratch = listScratch();
   std::vector<unsigned>& pending = scratch.pending;
-  std::vector<std::vector<forest::TaskId>>& arrivals = scratch.arrivals;
+  std::vector<forest::TaskId>& arrivals = scratch.arrivals;
+  std::vector<forest::TaskId>& released = scratch.released;
   std::vector<forest::TaskId>& batch = scratch.batch;
 
   pending.assign(pendingCounts.begin(), pendingCounts.end());
-  for (auto& slot : arrivals) slot.clear();
-  if (arrivals.size() < 2) arrivals.resize(2);
+  arrivals.clear();
+  released.clear();
+  scratch.slotsCleared += 2;
   for (forest::TaskId id = 0; id < n; ++id) {
-    if (pending[id] == 0) arrivals[1].push_back(id);
+    if (pending[id] == 0) arrivals.push_back(id);
   }
 
   std::size_t remaining = n;
   for (unsigned t = 1; remaining > 0; ++t) {
-    if (t < arrivals.size() && !arrivals[t].empty()) {
-      policy.add(arrivals[t]);
-      arrivals[t].clear();
-    }
+    if (!arrivals.empty()) policy.add(arrivals);
     batch.clear();
     if (!policy.take(t, capacity, batch) || batch.empty()) return false;
     for (unsigned k = 0; k < batch.size(); ++k) {
@@ -144,11 +135,13 @@ bool runListScheduler(const std::vector<std::uint8_t>& pendingCounts,
       --remaining;
       for (const forest::TaskId next : successors(id)) {
         if (next == forest::kNoTask || --pending[next] != 0) continue;
-        if (arrivals.size() <= t + 1) arrivals.resize(t + 2);
-        arrivals[t + 1].push_back(next);
+        released.push_back(next);
       }
     }
     out.completionTime = t;
+    arrivals.swap(released);
+    released.clear();
+    ++scratch.slotsCleared;
   }
   return true;
 }

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "obs/scope.h"
+#include "sched/plan_scratch.h"
 
 namespace dmf::sched {
 
@@ -42,8 +43,7 @@ void validateOrThrow(const TaskForest& forest, const Schedule& s) {
   }
   // (cycle, mixer) slot uniqueness via one sort over packed keys instead of
   // a std::set — validation runs after every scheduling attempt.
-  thread_local std::vector<std::uint64_t> slots;
-  slots.resize(n);
+  std::vector<std::uint64_t> slots(n);
   for (TaskId id = 0; id < n; ++id) {
     slots[id] = (std::uint64_t{s.cycles[id]} << 32) | s.mixers[id];
   }
@@ -92,7 +92,7 @@ void storageDeltas(const TaskForest& forest, const Schedule& s,
 
 std::vector<unsigned> storageProfile(const TaskForest& forest,
                                      const Schedule& s) {
-  thread_local std::vector<std::int32_t> delta;
+  std::vector<std::int32_t> delta;
   storageDeltas(forest, s, delta);
   std::vector<unsigned> storage(s.completionTime + 1, 0);
   std::int32_t occupancy = 0;
@@ -104,7 +104,13 @@ std::vector<unsigned> storageProfile(const TaskForest& forest,
 }
 
 unsigned countStorage(const TaskForest& forest, const Schedule& s) {
-  thread_local std::vector<std::int32_t> delta;
+  PlanScratch scratch;
+  return countStorage(forest, s, scratch);
+}
+
+unsigned countStorage(const TaskForest& forest, const Schedule& s,
+                      PlanScratch& scratch) {
+  std::vector<std::int32_t>& delta = scratch.delta;
   storageDeltas(forest, s, delta);
   std::int32_t occupancy = 0;
   std::int32_t peak = 0;

@@ -15,6 +15,8 @@
 
 namespace dmf::sched {
 
+struct PlanScratch;
+
 /// A complete schedule of a TaskForest, stored structure-of-arrays: the two
 /// per-task attributes live in parallel flat vectors indexed by
 /// forest::TaskId. Most hot sweeps (storage recount, ready-queue release,
@@ -57,6 +59,9 @@ void validateOrThrow(const forest::TaskForest& forest, const Schedule& s);
 /// units q the schedule needs.
 [[nodiscard]] unsigned countStorage(const forest::TaskForest& forest,
                                     const Schedule& s);
+/// As above on the difference array of `scratch`.
+[[nodiscard]] unsigned countStorage(const forest::TaskForest& forest,
+                                    const Schedule& s, PlanScratch& scratch);
 
 /// Per-cycle storage occupancy (index 1..completionTime; index 0 unused).
 [[nodiscard]] std::vector<unsigned> storageProfile(

@@ -7,7 +7,6 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -24,6 +23,7 @@ using forest::TaskId;
 
 namespace {
 
+using detail::CappedScratch;
 using detail::consumersOf;
 using detail::heapPop;
 using detail::heapPush;
@@ -31,20 +31,29 @@ using detail::HeapPolicy;
 using detail::kIdMask;
 using detail::runListScheduler;
 
-// MMS, Algorithm 2 and OMS: the forward DAG from a fresh schedule.
+// MMS, Algorithm 2 and OMS: the forward DAG, into `s`.
 template <typename Policy>
-Schedule scheduleForward(const TaskForest& forest, unsigned mixers,
-                         Policy policy, std::string name) {
+void scheduleForwardInto(const TaskForest& forest, unsigned mixers,
+                         Policy policy, const char* name,
+                         PlanScratch& scratch, Schedule& s) {
   if (mixers == 0) {
-    throw std::invalid_argument(name + ": at least one mixer required");
+    throw std::invalid_argument(std::string(name) +
+                                ": at least one mixer required");
   }
-  Schedule s;
   s.mixerCount = mixers;
-  s.scheme = std::move(name);
-  if (!runListScheduler(forest.initialPending(), consumersOf(forest), mixers,
-                        policy, s)) {
+  s.scheme = name;
+  if (!runListScheduler(scratch.list, forest.initialPending(),
+                        consumersOf(forest), mixers, policy, s)) {
     throw std::logic_error(s.scheme + ": scheduler stalled");
   }
+}
+
+template <typename Policy>
+Schedule scheduleForward(const TaskForest& forest, unsigned mixers,
+                         Policy policy, const char* name,
+                         PlanScratch& scratch) {
+  Schedule s;
+  scheduleForwardInto(forest, mixers, std::move(policy), name, scratch, s);
   return s;
 }
 
@@ -52,8 +61,10 @@ Schedule scheduleForward(const TaskForest& forest, unsigned mixers,
 // ascending ("from level l upwards"), ties by task id.
 class MmsPolicy {
  public:
-  explicit MmsPolicy(const TaskForest& forest)
-      : levels_(&forest.taskLevels()) {}
+  MmsPolicy(const TaskForest& forest, std::vector<TaskId>& queue)
+      : levels_(&forest.taskLevels()), queue_(&queue) {
+    queue_->clear();
+  }
 
   void add(std::vector<TaskId>& arrivals) {
     std::sort(arrivals.begin(), arrivals.end(), [this](TaskId a, TaskId b) {
@@ -61,12 +72,12 @@ class MmsPolicy {
       const unsigned lb = (*levels_)[b];
       return la != lb ? la < lb : a < b;
     });
-    queue_.insert(queue_.end(), arrivals.begin(), arrivals.end());
+    queue_->insert(queue_->end(), arrivals.begin(), arrivals.end());
   }
 
   bool take(unsigned /*t*/, unsigned capacity, std::vector<TaskId>& out) {
-    while (capacity-- > 0 && head_ < queue_.size()) {
-      out.push_back(queue_[head_++]);
+    while (capacity-- > 0 && head_ < queue_->size()) {
+      out.push_back((*queue_)[head_++]);
     }
     return true;
   }
@@ -75,7 +86,7 @@ class MmsPolicy {
   const std::vector<unsigned>* levels_;
   // FIFO as a flat vector with a read cursor instead of a deque: every task
   // enters exactly once, so the backlog is bounded by the task count.
-  std::vector<TaskId> queue_;
+  std::vector<TaskId>* queue_;
   std::size_t head_ = 0;
 };
 
@@ -85,29 +96,33 @@ class MmsPolicy {
 // max(0, min(Mc - |Q_int|, |Q_leaf|)).
 class SrsGreedyPolicy {
  public:
-  explicit SrsGreedyPolicy(const TaskForest& forest) : forest_(&forest) {}
+  SrsGreedyPolicy(const TaskForest& forest, detail::QueueScratch& queues)
+      : forest_(&forest), qInt_(&queues.qInt), qLeaf_(&queues.qLeaf) {
+    qInt_->clear();
+    qLeaf_->clear();
+  }
 
   void add(const std::vector<TaskId>& arrivals) {
     const std::vector<unsigned>& levels = forest_->taskLevels();
     for (TaskId id : arrivals) {
       const auto level = std::uint64_t{levels[id]};
       if (forest_->task(id).operandClass == OperandClass::kTypeC) {
-        heapPush(qLeaf_, (level << 32) | id);  // lowest level first
+        heapPush(*qLeaf_, (level << 32) | id);  // lowest level first
       } else {
-        heapPush(qInt_, ((kIdMask - level) << 32) | id);  // highest first
+        heapPush(*qInt_, ((kIdMask - level) << 32) | id);  // highest first
       }
     }
   }
 
   bool take(unsigned /*t*/, unsigned capacity, std::vector<TaskId>& out) {
-    const std::size_t intNodes = qInt_.size();
-    for (unsigned k = 0; k < capacity && !qInt_.empty(); ++k) {
-      out.push_back(detail::taskOf(heapPop(qInt_)));
+    const std::size_t intNodes = qInt_->size();
+    for (unsigned k = 0; k < capacity && !qInt_->empty(); ++k) {
+      out.push_back(detail::taskOf(heapPop(*qInt_)));
     }
     if (capacity > intNodes) {
       unsigned leafBudget = capacity - static_cast<unsigned>(intNodes);
-      while (leafBudget-- > 0 && !qLeaf_.empty()) {
-        out.push_back(detail::taskOf(heapPop(qLeaf_)));
+      while (leafBudget-- > 0 && !qLeaf_->empty()) {
+        out.push_back(detail::taskOf(heapPop(*qLeaf_)));
       }
     }
     return true;
@@ -115,8 +130,8 @@ class SrsGreedyPolicy {
 
  private:
   const TaskForest* forest_;
-  std::vector<std::uint64_t> qInt_;
-  std::vector<std::uint64_t> qLeaf_;
+  std::vector<std::uint64_t>* qInt_;
+  std::vector<std::uint64_t>* qLeaf_;
 };
 
 }  // namespace
@@ -142,12 +157,22 @@ std::vector<unsigned> computeColevels(const TaskForest& forest) {
 }  // namespace detail
 
 Schedule scheduleMMS(const TaskForest& forest, unsigned mixers) {
-  return scheduleForward(forest, mixers, MmsPolicy(forest), "MMS");
+  PlanScratch scratch;
+  return scheduleMMS(forest, mixers, scratch);
+}
+
+Schedule scheduleMMS(const TaskForest& forest, unsigned mixers,
+                     PlanScratch& scratch) {
+  return scheduleForward(forest, mixers,
+                         MmsPolicy(forest, scratch.queues.fifo), "MMS",
+                         scratch);
 }
 
 Schedule scheduleSRSGreedy(const TaskForest& forest, unsigned mixers) {
-  return scheduleForward(forest, mixers, SrsGreedyPolicy(forest),
-                         "SRS-greedy");
+  PlanScratch scratch;
+  return scheduleForward(forest, mixers,
+                         SrsGreedyPolicy(forest, scratch.queues),
+                         "SRS-greedy", scratch);
 }
 
 namespace {
@@ -155,7 +180,8 @@ namespace {
 // Latest-feasible (just-in-time) schedule: list-schedule the reversed
 // precedence DAG, then mirror the result in time, so droplets are produced
 // as late as the mixer bank allows.
-Schedule scheduleJustInTime(const TaskForest& forest, unsigned mixers) {
+Schedule scheduleJustInTime(const TaskForest& forest, unsigned mixers,
+                            PlanScratch& scratch) {
   Schedule s;
   s.mixerCount = mixers;
   s.scheme = "SRS";
@@ -171,20 +197,14 @@ Schedule scheduleJustInTime(const TaskForest& forest, unsigned mixers) {
   // whose stall is free (section 4.2.2) — end up deferred the most: they sit
   // at the reversed DAG's deepest positions. Mixers idle rather than dispense
   // early, the behaviour the paper attributes to SRS.
-  struct Scratch {
-    std::vector<unsigned> revColevel;
-    std::vector<std::uint64_t> ready;
-    Schedule reversed;
-    std::vector<unsigned> used;
-  };
-  static thread_local Scratch scratch;
+  detail::JitScratch& jit = scratch.jit;
 
   const std::vector<TaskId>& depLeft = forest.depLefts();
   const std::vector<TaskId>& depRight = forest.depRights();
 
   // Reverse chain length: longest path from a task back through its operand
   // producers (its successors in the reversed DAG).
-  std::vector<unsigned>& revColevel = scratch.revColevel;
+  std::vector<unsigned>& revColevel = jit.revColevel;
   revColevel.assign(n, 1);
   for (TaskId id = 0; id < n; ++id) {
     for (TaskId dep : {depLeft[id], depRight[id]}) {
@@ -199,7 +219,7 @@ Schedule scheduleJustInTime(const TaskForest& forest, unsigned mixers) {
   // Priority: longest reverse chain first (Hu on the reversed DAG), breaking
   // ties in favour of Type-C nodes (defer them furthest in forward time),
   // then by task id. Packed as (revColevel desc, typeC-first bit, id).
-  HeapPolicy policy(scratch.ready, [&](TaskId id) {
+  HeapPolicy policy(scratch.queues.heap, [&](TaskId id) {
     const bool typeC =
         forest.task(id).operandClass == OperandClass::kTypeC;
     return ((0x7FFFFFFFull - revColevel[id]) << 33) |
@@ -208,15 +228,15 @@ Schedule scheduleJustInTime(const TaskForest& forest, unsigned mixers) {
   const auto producersOf = [&](TaskId id) {
     return std::array<TaskId, 2>{depLeft[id], depRight[id]};
   };
-  Schedule& reversed = scratch.reversed;
-  if (!runListScheduler(forest.consumedOutCounts(), producersOf, mixers,
-                        policy, reversed)) {
+  Schedule& reversed = jit.reversed;
+  if (!runListScheduler(scratch.list, forest.consumedOutCounts(), producersOf,
+                        mixers, policy, reversed)) {
     throw std::logic_error("SRS: reverse pass stalled");
   }
 
   // Mirror into forward time and hand out mixer indices per cycle.
   const unsigned span = reversed.completionTime;
-  std::vector<unsigned>& used = scratch.used;
+  std::vector<unsigned>& used = jit.used;
   used.assign(span + 2, 0);
   for (TaskId id = 0; id < n; ++id) {
     const unsigned cycle = span + 1 - reversed.cycles[id];
@@ -230,47 +250,22 @@ Schedule scheduleJustInTime(const TaskForest& forest, unsigned mixers) {
 
 namespace {
 
-/// Reusable workspace for tryStorageCapped: one SRS refinement runs one
-/// capped simulation per distinct admission budget over the same forest, so
-/// every run bumps warm vectors instead of re-allocating its bookkeeping.
-struct CappedScratch {
-  std::vector<std::uint64_t> ready;       // sorted ascending by packed key
-  std::vector<std::uint64_t> arrivalKeys;
-  std::vector<std::uint64_t> merged;
-  Schedule out;  // the run's result; copied out on adoption
-  /// Peak droplets parked in one cycle (carried - consumedNow) over the run.
-  std::int64_t peak = 0;
-  /// The largest admission pressure the run let through and the smallest it
-  /// turned away. Every budget in [passedMax, blockedMin) answers each of
-  /// the run's pressure tests the same way, so it follows the same
-  /// trajectory.
-  std::int64_t passedMax = 0;
-  std::int64_t blockedMin = 0;
-
-  /// The SRS refinement's memo: one entry per distinct admission budget
-  /// (cap + window in 64 bits, so no window wraps it) — at most six per
-  /// scanned cap, never sized by the mixer count. Only successful runs keep
-  /// a schedule, in `wins`.
-  struct Run {
-    static constexpr std::size_t kFailed = static_cast<std::size_t>(-1);
-    std::int64_t peak = 0;
-    std::size_t win = kFailed;  // index into wins
-  };
-  std::unordered_map<std::uint64_t, Run> runs;
-  std::vector<Schedule> wins;
-
-  /// The clipped scan's record of failed runs: each one settles the later
-  /// budgets in [passedMax, blockedMin).
-  struct Settled {
-    std::int64_t passedMax = 0;
-    std::int64_t blockedMin = 0;
-  };
-  std::vector<Settled> settled;
-};
-
-CappedScratch& cappedScratch() {
-  static thread_local CappedScratch scratch;
-  return scratch;
+/// Fixes the service order of the capped runs that follow: `seedCycles`
+/// and the sorted cycle-1 ready list every run starts from, built here once
+/// instead of re-keyed and re-sorted by each run.
+void seedCappedRuns(const TaskForest& forest,
+                    const std::vector<unsigned>& seedCycles,
+                    CappedScratch& scratch) {
+  scratch.seedCycles.assign(seedCycles.begin(), seedCycles.end());
+  const std::vector<std::uint8_t>& pending = forest.initialPending();
+  std::vector<std::uint64_t>& ready = scratch.initialReady;
+  ready.clear();
+  for (TaskId id = 0; id < pending.size(); ++id) {
+    if (pending[id] == 0) {
+      ready.push_back((std::uint64_t{scratch.seedCycles[id]} << 32) | id);
+    }
+  }
+  std::sort(ready.begin(), ready.end());
 }
 
 /// The knobs of one storage-capped run.
@@ -289,17 +284,16 @@ struct CappedLimits {
 };
 
 // The storage-capped admission policy: Algorithm 2's two queues under a
-// storage budget, served in the order of a just-in-time schedule
-// (`jitCycles`). Abandons the run when a cycle parks more than the cap or a
-// task would start after the deadline.
+// storage budget, served in the order of the seed schedule (seedCappedRuns).
+// Abandons the run when a cycle parks more than the cap or a task would
+// start after the deadline.
 class CappedPolicy {
  public:
   CappedPolicy(const TaskForest& forest, const CappedLimits& limits,
-               const std::vector<unsigned>& jitCycles, CappedScratch& scratch)
+               CappedScratch& scratch)
       : consumedOuts_(forest.consumedOutCounts()),
         storedOperands_(forest.initialPending()),
         limits_(limits),
-        jitCycles_(jitCycles),
         scratch_(scratch) {
     scratch.ready.clear();
     scratch.peak = 0;
@@ -312,12 +306,19 @@ class CappedPolicy {
   // it under the cap keeps partner droplets adjacent. The queue is a flat
   // vector sorted ascending by (jit cycle, id): arrivals merge in, and the
   // two service passes compact the survivors in place — iteration order
-  // matches the std::set this replaced, with zero node allocations.
+  // matches the std::set this replaced, with zero node allocations. The
+  // first arrivals are the tasks with no predecessor, whose sorted keys the
+  // seed already holds: merged into the empty queue they are that list.
   void add(const std::vector<TaskId>& arrivals) {
+    if (!started_) {
+      started_ = true;
+      scratch_.ready = scratch_.initialReady;
+      return;
+    }
     std::vector<std::uint64_t>& keys = scratch_.arrivalKeys;
     keys.clear();
     for (TaskId id : arrivals) {
-      keys.push_back((std::uint64_t{jitCycles_[id]} << 32) | id);
+      keys.push_back((std::uint64_t{scratch_.seedCycles[id]} << 32) | id);
     }
     std::sort(keys.begin(), keys.end());
     std::vector<std::uint64_t>& ready = scratch_.ready;
@@ -426,27 +427,24 @@ class CappedPolicy {
   const std::vector<std::uint8_t>& consumedOuts_;
   const std::vector<std::uint8_t>& storedOperands_;
   const CappedLimits& limits_;
-  const std::vector<unsigned>& jitCycles_;
   CappedScratch& scratch_;
   std::int64_t carried_ = 0;
+  bool started_ = false;
 };
 
-// One storage-capped run with a fixed admission budget. Fills `scratch.out`
-// with a schedule whose every cycle parks at most `limits.storageCap`
-// droplets (their maximum in `scratch.peak`) and returns true, or returns
+// One storage-capped run with a fixed admission budget, in the order of the
+// scratch's seed (seedCappedRuns). Fills `scratch.capped.out` with a
+// schedule whose every cycle parks at most `limits.storageCap` droplets
+// (their maximum in `scratch.capped.peak`) and returns true, or returns
 // false when the run stalls, exceeds the cap or passes the deadline.
-// `jitCycles` is the cycle array of a just-in-time schedule supplying the
-// service order.
 bool tryStorageCapped(const TaskForest& forest, unsigned mixers,
-                      const CappedLimits& limits,
-                      const std::vector<unsigned>& jitCycles,
-                      CappedScratch& scratch) {
-  Schedule& s = scratch.out;
+                      const CappedLimits& limits, PlanScratch& scratch) {
+  Schedule& s = scratch.capped.out;
   s.mixerCount = mixers;
   s.scheme = "capped";
-  CappedPolicy policy(forest, limits, jitCycles, scratch);
-  return runListScheduler(forest.initialPending(), consumersOf(forest),
-                          mixers, policy, s);
+  CappedPolicy policy(forest, limits, scratch.capped);
+  return runListScheduler(scratch.list, forest.initialPending(),
+                          consumersOf(forest), mixers, policy, s);
 }
 
 /// The production-lookahead window ladder. Small mixer banks make the ladder
@@ -486,18 +484,19 @@ Schedule scheduleStorageCapped(const TaskForest& forest, unsigned mixers,
   // ladder is tried and the fastest completing schedule wins. Adoption is
   // strictly improving, so once a schedule is held a run may give up as soon
   // as it can no longer finish before it.
-  const Schedule jit = scheduleJustInTime(forest, mixers);
-  CappedScratch& scratch = cappedScratch();
+  PlanScratch scratch;
+  seedCappedRuns(forest, scheduleJustInTime(forest, mixers, scratch).cycles,
+                 scratch.capped);
   std::optional<Schedule> best;
   forEachWindow(mixers, [&](unsigned window) {
     CappedLimits limits;
     limits.admission = static_cast<std::int64_t>(storageCap) + window;
     limits.storageCap = storageCap;
     if (best.has_value()) limits.deadline = best->completionTime - 1;
-    if (tryStorageCapped(forest, mixers, limits, jit.cycles, scratch) &&
+    if (tryStorageCapped(forest, mixers, limits, scratch) &&
         (!best.has_value() ||
-         scratch.out.completionTime < best->completionTime)) {
-      best = scratch.out;
+         scratch.capped.out.completionTime < best->completionTime)) {
+      best = scratch.capped.out;
     }
   });
   if (!best.has_value()) {
@@ -514,9 +513,11 @@ namespace {
 /// MMS (SRS must never store more than it, section 4.2.2) and the verbatim
 /// two-queue Algorithm 2, which is strong on wide forests. The refinement
 /// and the capped scheduleSRS's clipped scan both start from it, so they
-/// share every seed, budget and tie-break.
+/// share every seed, budget and tie-break, and the one seeded list of their
+/// capped runs.
 struct SrsPrelude {
   const TaskForest& forest;
+  PlanScratch& scratch;
   Schedule best;
   unsigned bestStorage = 0;
   unsigned fastest = 0;
@@ -529,33 +530,49 @@ struct SrsPrelude {
   }
 
   /// Keeps `candidate` if it stores less, or as much but finishes sooner,
-  /// within the time budget. Never raises bestStorage.
-  void adopt(Schedule candidate) {
+  /// within the time budget, by swapping it with `best`. Never raises
+  /// bestStorage.
+  void adopt(Schedule& candidate) {
     fastest = std::min(fastest, candidate.completionTime);
     if (candidate.completionTime > timeBudget()) return;
-    const unsigned storage = countStorage(forest, candidate);
+    const unsigned storage = countStorage(forest, candidate, scratch);
     if (storage < bestStorage ||
         (storage == bestStorage &&
          candidate.completionTime < best.completionTime)) {
-      candidate.scheme = "SRS";
-      best = std::move(candidate);
+      std::swap(best, candidate);
+      best.scheme = "SRS";
       bestStorage = storage;
       ++adopted;
     }
   }
 };
 
-SrsPrelude srsPrelude(const TaskForest& forest, unsigned mixers) {
+SrsPrelude srsPrelude(const TaskForest& forest, unsigned mixers,
+                      PlanScratch& scratch) {
   if (mixers == 0) {
     throw std::invalid_argument("SRS: at least one mixer required");
   }
-  SrsPrelude pool{forest, scheduleJustInTime(forest, mixers)};
+  SrsPrelude pool{forest, scratch,
+                  scheduleJustInTime(forest, mixers, scratch)};
   pool.best.scheme = "SRS";
   if (forest.taskCount() == 0) return pool;
-  pool.bestStorage = countStorage(forest, pool.best);
+  pool.bestStorage = countStorage(forest, pool.best, scratch);
   pool.fastest = pool.best.completionTime;
-  pool.adopt(scheduleMMS(forest, mixers));
-  pool.adopt(scheduleSRSGreedy(forest, mixers));
+  // MMS and the greedy pass run into one reused buffer, which after an
+  // adoption holds the schedule it replaced.
+  Schedule& candidate = scratch.candidate;
+  scheduleForwardInto(forest, mixers,
+                      MmsPolicy(forest, scratch.queues.fifo), "MMS", scratch,
+                      candidate);
+  pool.adopt(candidate);
+  scheduleForwardInto(forest, mixers, SrsGreedyPolicy(forest, scratch.queues),
+                      "SRS-greedy", scratch, candidate);
+  pool.adopt(candidate);
+  // The capped runs scan the caps below the prelude's storage, so they
+  // follow only when it is positive.
+  if (pool.bestStorage > 0) {
+    seedCappedRuns(forest, pool.best.cycles, scratch.capped);
+  }
   return pool;
 }
 
@@ -570,27 +587,30 @@ Schedule refineSrs(SrsPrelude& pool, unsigned mixers) {
   const TaskForest& forest = pool.forest;
   if (forest.taskCount() == 0) return std::move(pool.best);
   const unsigned timeBudget = pool.timeBudget();
-  const std::vector<unsigned> seedCycles = pool.best.cycles;
   const unsigned capsScanned = pool.bestStorage;
-  CappedScratch& scratch = cappedScratch();
+  CappedScratch& scratch = pool.scratch.capped;
   scratch.runs.clear();
-  scratch.wins.clear();
+  scratch.winCount = 0;
   for (unsigned cap = capsScanned; cap-- > 0;) {
     std::size_t candidate = CappedScratch::Run::kFailed;
     forEachWindow(mixers, [&](unsigned window) {
-      auto [it, fresh] = scratch.runs.try_emplace(std::uint64_t{cap} + window);
+      const std::uint64_t budget = std::uint64_t{cap} + window;
+      auto it = std::lower_bound(
+          scratch.runs.begin(), scratch.runs.end(), budget,
+          [](const auto& entry, std::uint64_t b) { return entry.first < b; });
+      const bool fresh = it == scratch.runs.end() || it->first != budget;
+      if (fresh) it = scratch.runs.insert(it, {budget, CappedScratch::Run{}});
       CappedScratch::Run& run = it->second;
       if (fresh) {
         // Caps are scanned downwards, so the first cap to ask for a budget
         // is the largest that uses it: the run only fails above that cap.
         CappedLimits limits;
-        limits.admission = static_cast<std::int64_t>(it->first);
+        limits.admission = static_cast<std::int64_t>(budget);
         limits.storageCap = cap;
         limits.deadline = timeBudget;
-        if (tryStorageCapped(forest, mixers, limits, seedCycles, scratch)) {
+        if (tryStorageCapped(forest, mixers, limits, pool.scratch)) {
           run.peak = scratch.peak;
-          run.win = scratch.wins.size();
-          scratch.wins.push_back(scratch.out);
+          run.win = scratch.keepOut();
         }
       }
       if (run.win == CappedScratch::Run::kFailed ||
@@ -604,7 +624,9 @@ Schedule refineSrs(SrsPrelude& pool, unsigned mixers) {
       }
     });
     if (candidate != CappedScratch::Run::kFailed) {
-      pool.adopt(scratch.wins[candidate]);
+      // A later cap may read the same win again, so adopt a copy.
+      Schedule win = scratch.wins[candidate];
+      pool.adopt(win);
     }
   }
   obs::count("sched.srs.capped_runs", scratch.runs.size());
@@ -625,7 +647,7 @@ Schedule refineSrs(SrsPrelude& pool, unsigned mixers) {
 bool clippedScanMayFit(const SrsPrelude& pool, unsigned mixers,
                        unsigned cap) {
   const unsigned timeBudget = pool.timeBudget();
-  CappedScratch& scratch = cappedScratch();
+  CappedScratch& scratch = pool.scratch.capped;
   std::vector<CappedScratch::Settled>& settled = scratch.settled;
   settled.clear();
   bool fits = false;
@@ -642,8 +664,7 @@ bool clippedScanMayFit(const SrsPrelude& pool, unsigned mixers,
       limits.admission = admission;
       limits.storageCap = clipped;
       limits.deadline = timeBudget;
-      if (tryStorageCapped(pool.forest, mixers, limits, pool.best.cycles,
-                           scratch)) {
+      if (tryStorageCapped(pool.forest, mixers, limits, pool.scratch)) {
         fits = true;
         return;
       }
@@ -657,13 +678,25 @@ bool clippedScanMayFit(const SrsPrelude& pool, unsigned mixers,
 }  // namespace
 
 Schedule scheduleSRS(const TaskForest& forest, unsigned mixers) {
-  SrsPrelude pool = srsPrelude(forest, mixers);
+  PlanScratch scratch;
+  return scheduleSRS(forest, mixers, scratch);
+}
+
+Schedule scheduleSRS(const TaskForest& forest, unsigned mixers,
+                     PlanScratch& scratch) {
+  SrsPrelude pool = srsPrelude(forest, mixers, scratch);
   return refineSrs(pool, mixers);
 }
 
 std::optional<Schedule> scheduleSRS(const TaskForest& forest, unsigned mixers,
                                     unsigned cap) {
-  SrsPrelude pool = srsPrelude(forest, mixers);
+  PlanScratch scratch;
+  return scheduleSRS(forest, mixers, cap, scratch);
+}
+
+std::optional<Schedule> scheduleSRS(const TaskForest& forest, unsigned mixers,
+                                    unsigned cap, PlanScratch& scratch) {
+  SrsPrelude pool = srsPrelude(forest, mixers, scratch);
   // Adoption never raises storage, so a prelude within the cap needs no
   // proof either way: the refinement can only end lower.
   if (pool.bestStorage > cap && !clippedScanMayFit(pool, mixers, cap)) {
@@ -673,14 +706,20 @@ std::optional<Schedule> scheduleSRS(const TaskForest& forest, unsigned mixers,
 }
 
 Schedule scheduleOMS(const TaskForest& forest, unsigned mixers) {
+  PlanScratch scratch;
+  return scheduleOMS(forest, mixers, scratch);
+}
+
+Schedule scheduleOMS(const TaskForest& forest, unsigned mixers,
+                     PlanScratch& scratch) {
   // Hu / critical-path priority: longest path to an emitted droplet first.
   const std::vector<unsigned> colevel = detail::computeColevels(forest);
   const auto longestFirst = [&colevel](TaskId id) {
     return ((kIdMask - std::uint64_t{colevel[id]}) << 32) | id;
   };
-  std::vector<std::uint64_t> heap;
-  return scheduleForward(forest, mixers, HeapPolicy(heap, longestFirst),
-                         "OMS");
+  return scheduleForward(forest, mixers,
+                         HeapPolicy(scratch.queues.heap, longestFirst), "OMS",
+                         scratch);
 }
 
 unsigned criticalPathLength(const TaskForest& forest) {
@@ -696,13 +735,14 @@ unsigned minimumMixers(const TaskForest& forest) {
   // (completion >= ceil(taskCount / mixers) > cp below it), so the scan
   // starts at the width lower bound instead of 1.
   const auto n = static_cast<unsigned>(forest.taskCount());
+  PlanScratch scratch;
   for (unsigned m = std::max(1u, (n + cp - 1) / cp);; ++m) {
     // Runaway check first: a failure throws instead of paying one extra
     // wasted O(n log n) scheduling pass beyond the taskCount ceiling.
     if (m > n) {
       throw std::logic_error("minimumMixers: failed to reach critical path");
     }
-    if (scheduleOMS(forest, m).completionTime == cp) {
+    if (scheduleOMS(forest, m, scratch).completionTime == cp) {
       return m;
     }
   }

@@ -1,10 +1,13 @@
 // The paper's schedulers: MMS (Algorithm 1), SRS (Algorithm 2), and the
-// OMS baseline realized as critical-path (Hu) list scheduling.
+// OMS baseline realized as critical-path (Hu) list scheduling. Each one
+// borrows its temporaries from a PlanScratch: the overloads taking one use
+// the caller's, the others make a local one.
 #pragma once
 
 #include <optional>
 
 #include "forest/task_forest.h"
+#include "sched/plan_scratch.h"
 #include "sched/schedule.h"
 
 namespace dmf::sched {
@@ -15,6 +18,8 @@ namespace dmf::sched {
 /// mixers == 0.
 [[nodiscard]] Schedule scheduleMMS(const forest::TaskForest& forest,
                                    unsigned mixers);
+[[nodiscard]] Schedule scheduleMMS(const forest::TaskForest& forest,
+                                   unsigned mixers, PlanScratch& scratch);
 
 /// Storage_Reduced_Scheduling (Algorithm 2): every mix-split runs as late as
 /// the mixer bank allows (list scheduling of the reversed precedence DAG,
@@ -25,6 +30,8 @@ namespace dmf::sched {
 /// paper reports. Throws std::invalid_argument if mixers == 0.
 [[nodiscard]] Schedule scheduleSRS(const forest::TaskForest& forest,
                                    unsigned mixers);
+[[nodiscard]] Schedule scheduleSRS(const forest::TaskForest& forest,
+                                   unsigned mixers, PlanScratch& scratch);
 
 /// scheduleSRS under a storage cap: nullopt only when SRS provably stores
 /// more than `cap` units, otherwise exactly scheduleSRS(forest, mixers).
@@ -35,6 +42,9 @@ namespace dmf::sched {
 /// std::invalid_argument if mixers == 0.
 [[nodiscard]] std::optional<Schedule> scheduleSRS(
     const forest::TaskForest& forest, unsigned mixers, unsigned cap);
+[[nodiscard]] std::optional<Schedule> scheduleSRS(
+    const forest::TaskForest& forest, unsigned mixers, unsigned cap,
+    PlanScratch& scratch);
 
 /// The verbatim two-queue pseudo-code of Algorithm 2 (Q_int Type-A/B highest
 /// level first, then Q_leaf Type-C lowest level first, greedily every cycle).
@@ -58,6 +68,8 @@ namespace dmf::sched {
 /// DAGs. Throws std::invalid_argument if mixers == 0.
 [[nodiscard]] Schedule scheduleOMS(const forest::TaskForest& forest,
                                    unsigned mixers);
+[[nodiscard]] Schedule scheduleOMS(const forest::TaskForest& forest,
+                                   unsigned mixers, PlanScratch& scratch);
 
 /// Length of the longest dependency chain — the makespan with unbounded
 /// mixers.

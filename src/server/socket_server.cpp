@@ -119,9 +119,10 @@ void SocketServer::run() {
       // A finished connection's worker waits here for the next connection
       // instead of exiting; the idle workers the queue does not need now
       // are spares and exit. So a client that reconnects per request reuses
-      // one thread (and its thread_local planning scratch), the pool
-      // follows the latest burst of connections, and no thread exits while
-      // no connection arrives.
+      // one thread, the pool follows the latest burst of connections, and
+      // no thread exits while no connection arrives. Planning scratch
+      // belongs to each request, not to the thread, so a reused worker
+      // carries nothing over from a large plan.
       retiring_ = idle_ - queue_.size();
     }
     wake_.notify_all();

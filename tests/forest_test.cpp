@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 
 #include "mixgraph/builders.h"
 #include "workload/ratio_corpus.h"
@@ -139,6 +140,36 @@ TEST(TaskForest, NodeDemandAtRootMatchesClassicForest) {
   EXPECT_EQ(injected.stats().mixSplits, classic.stats().mixSplits);
   EXPECT_EQ(injected.stats().inputPerFluid, classic.stats().inputPerFluid);
   EXPECT_EQ(injected.taskCount(), classic.taskCount());
+}
+
+TEST(TaskForest, RebuildEqualsFreshConstruction) {
+  // One object rebuilt larger, smaller and on another graph keeps no trace
+  // of the forests before it.
+  const MixingGraph pcrGraph = buildMM(pcr());
+  const MixingGraph other = buildGraph(Ratio({3, 5, 8}), Algorithm::RMA);
+  TaskForest reused(pcrGraph, 2);
+  for (const auto& [graph, demand] :
+       {std::pair{&pcrGraph, 64u}, std::pair{&pcrGraph, 20u},
+        std::pair{&other, 33u}, std::pair{&pcrGraph, 7u}}) {
+    reused.rebuild(*graph, demand);
+    const TaskForest fresh(*graph, demand);
+    EXPECT_EQ(&reused.graph(), &fresh.graph());
+    EXPECT_EQ(reused.demands(), fresh.demands());
+    EXPECT_EQ(reused.demandNodes(), fresh.demandNodes());
+    EXPECT_EQ(reused.toDot(), fresh.toDot()) << demand;
+    EXPECT_EQ(reused.taskLevels(), fresh.taskLevels());
+    EXPECT_EQ(reused.depLefts(), fresh.depLefts());
+    EXPECT_EQ(reused.depRights(), fresh.depRights());
+    EXPECT_EQ(reused.outConsumers(), fresh.outConsumers());
+    EXPECT_EQ(reused.outFates(), fresh.outFates());
+    EXPECT_EQ(reused.initialPending(), fresh.initialPending());
+    EXPECT_EQ(reused.consumedOutCounts(), fresh.consumedOutCounts());
+    EXPECT_EQ(reused.stats().mixSplits, fresh.stats().mixSplits);
+    EXPECT_EQ(reused.stats().waste, fresh.stats().waste);
+    EXPECT_EQ(reused.stats().inputPerFluid, fresh.stats().inputPerFluid);
+    EXPECT_EQ(reused.stats().componentTrees, fresh.stats().componentTrees);
+  }
+  EXPECT_THROW(reused.rebuild(pcrGraph, 0), std::invalid_argument);
 }
 
 TEST(TaskForest, InteriorNodeDemandBuildsOnlyTheSubgraph) {

@@ -1,5 +1,6 @@
 // Regression tests for the streaming-planner storage-cap fixes and the
-// pass-evaluation layer (PassCache under runtime::parallelFor).
+// pass-evaluation layer (PassCache under runtime::parallelFor, and the
+// sched::PlanScratch each planning call owns).
 //
 // The two planner bugs covered here shipped in the original bisection
 // planner: (1) the remainder pass was never checked against the storage cap,
@@ -23,6 +24,8 @@
 #include "engine/pass_cache.h"
 #include "engine/streaming.h"
 #include "runtime/parallel_for.h"
+#include "sched/plan_scratch.h"
+#include "sched/schedulers.h"
 
 namespace dmf::engine {
 namespace {
@@ -433,6 +436,86 @@ TEST(PassKeyHash, SpreadsConsecutiveDemands) {
   }
   EXPECT_GE(buckets.size(), kBuckets * 55 / 100);
   EXPECT_LE(buckets.size(), kBuckets * 72 / 100);
+}
+
+// --------------------------------------------------------------------------
+// PlanScratch: a run on a scratch that just ran a long schedule gives the
+// same bytes as a fresh scratch and pays only for its own cycles.
+
+void expectSamePass(const StreamingPass& a, const StreamingPass& b,
+                    const std::string& label) {
+  EXPECT_EQ(a.demand, b.demand) << label;
+  EXPECT_EQ(a.cycles, b.cycles) << label;
+  EXPECT_EQ(a.storageUnits, b.storageUnits) << label;
+  EXPECT_EQ(a.waste, b.waste) << label;
+  EXPECT_EQ(a.inputDroplets, b.inputDroplets) << label;
+  EXPECT_EQ(a.mixSplits, b.mixSplits) << label;
+}
+
+void expectSameSchedule(const sched::Schedule& a, const sched::Schedule& b,
+                        const std::string& label) {
+  EXPECT_EQ(a.cycles, b.cycles) << label;
+  EXPECT_EQ(a.mixers, b.mixers) << label;
+  EXPECT_EQ(a.completionTime, b.completionTime) << label;
+  EXPECT_EQ(a.scheme, b.scheme) << label;
+}
+
+TEST(PlanScratch, SmallRunAfterLargeMatchesFreshAndClearsOnlyItsSlots) {
+  const MdstEngine engine = engineFor("2:1:1:1:1:1:9");
+  sched::PlanScratch scratch;
+  const std::optional<StreamingPass> large = evaluatePass(
+      engine, Algorithm::MM, Scheme::kMMS, 3, 4096, std::nullopt, nullptr,
+      scratch);
+  ASSERT_TRUE(large.has_value());
+  ASSERT_GE(large->cycles, 1000u);
+
+  // The small pass's bytes equal a fresh scratch's, capped or not.
+  const forest::TaskForest small = engine.buildForest(Algorithm::MM, 20);
+  expectSameSchedule(*schedule(small, Scheme::kSRS, 3, std::nullopt, scratch),
+                     sched::scheduleSRS(small, 3), "SRS");
+  for (const unsigned cap : {3u, 5u}) {
+    const std::string label = "SRS under cap " + std::to_string(cap);
+    const std::optional<sched::Schedule> reused =
+        schedule(small, Scheme::kSRS, 3, cap, scratch);
+    const std::optional<sched::Schedule> fresh =
+        sched::scheduleSRS(small, 3, cap);
+    ASSERT_EQ(reused.has_value(), fresh.has_value()) << label;
+    if (fresh.has_value()) expectSameSchedule(*reused, *fresh, label);
+  }
+  expectSamePass(*evaluatePass(engine, Algorithm::MM, Scheme::kSRS, 3, 20,
+                               std::nullopt, nullptr, scratch),
+                 *evaluatePass(engine, Algorithm::MM, Scheme::kSRS, 3, 20),
+                 "D=20");
+
+  // One list-scheduling run clears at most its own cycles + 2 arrival
+  // slots, not the ~large->cycles slots the long run pushed to.
+  const std::uint64_t before = scratch.arrivalSlotsCleared();
+  const sched::Schedule mms = sched::scheduleMMS(small, 3, scratch);
+  EXPECT_LE(scratch.arrivalSlotsCleared() - before,
+            std::uint64_t{mms.completionTime} + 2);
+  EXPECT_GT(scratch.arrivalSlotsCleared(), before);
+}
+
+TEST(PlanScratch, ReusedAcrossASweepMatchesFreshScratch) {
+  // Large and small passes interleaved on one scratch, under the cap the
+  // streaming search probes with and without it, for every scheme.
+  const MdstEngine engine = engineFor("2:1:1:1:1:1:9");
+  sched::PlanScratch scratch;
+  for (const Scheme scheme : {Scheme::kSRS, Scheme::kMMS, Scheme::kOMS}) {
+    for (const std::uint64_t demand : {256u, 3u, 97u, 2u, 40u, 128u, 5u}) {
+      const std::string label = std::string(schemeName(scheme)) +
+                                " D=" + std::to_string(demand);
+      for (const std::optional<unsigned> cap :
+           {std::optional<unsigned>(), std::optional<unsigned>(3u)}) {
+        const std::optional<StreamingPass> reused = evaluatePass(
+            engine, Algorithm::MM, scheme, 3, demand, cap, nullptr, scratch);
+        const std::optional<StreamingPass> fresh =
+            evaluatePass(engine, Algorithm::MM, scheme, 3, demand, cap);
+        ASSERT_EQ(reused.has_value(), fresh.has_value()) << label;
+        if (fresh.has_value()) expectSamePass(*reused, *fresh, label);
+      }
+    }
+  }
 }
 
 }  // namespace
