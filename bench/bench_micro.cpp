@@ -102,6 +102,24 @@ void BM_ScheduleSRS(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleSRS)->Range(2, 128);
 
+// One fresh PassCache::fits on PCR at storage cap 3 that answers "no": the
+// SRS prelude, then the clipped scan's capped runs, which fail within a few
+// cycles however many dispense mixes the forest's first cycle holds.
+void BM_CappedFitsReject(benchmark::State& state) {
+  const engine::MdstEngine engine(pcrRatio());
+  const auto demand = static_cast<std::uint64_t>(state.range(0));
+  (void)engine.baseGraph(mixgraph::Algorithm::MM);  // lazy build up front
+  sched::PlanScratch scratch;
+  for (auto _ : state) {
+    engine::PassCache cache;
+    const bool fits = cache.fits(engine, mixgraph::Algorithm::MM,
+                                 engine::Scheme::kSRS, 3, demand, 3, scratch);
+    if (fits) state.SkipWithError("expected the pass to exceed cap 3");
+    benchmark::DoNotOptimize(fits);
+  }
+}
+BENCHMARK(BM_CappedFitsReject)->Arg(64)->Arg(256)->Arg(1024);
+
 void BM_ScheduleOMS(benchmark::State& state) {
   const mixgraph::MixingGraph graph = mixgraph::buildMM(bigRatio());
   const forest::TaskForest f(graph, static_cast<std::uint64_t>(state.range(0)));

@@ -262,6 +262,7 @@ void TaskForest::buildSoaViews() {
   outFate_.resize(2 * n);
   initialPending_.resize(n);
   consumedOuts_.resize(n);
+  initialReady_.clear();
   for (std::size_t id = 0; id < n; ++id) {
     const Task& t = tasks_[id];
     levels_[id] = t.level;
@@ -269,6 +270,9 @@ void TaskForest::buildSoaViews() {
     depRight_[id] = t.depRight;
     initialPending_[id] = static_cast<std::uint8_t>(
         (t.depLeft != kNoTask ? 1 : 0) + (t.depRight != kNoTask ? 1 : 0));
+    if (initialPending_[id] == 0) {
+      initialReady_.push_back(static_cast<TaskId>(id));
+    }
     std::uint8_t consumed = 0;
     for (std::size_t s = 0; s < 2; ++s) {
       outConsumer_[2 * id + s] = t.out[s].consumer;
@@ -283,16 +287,6 @@ void TaskForest::buildSoaViews() {
 std::uint64_t TaskForest::demand() const { return stats_.targets; }
 
 unsigned TaskForest::depth() const { return graph_->depth(); }
-
-std::vector<TaskId> TaskForest::initialReady() const {
-  std::vector<TaskId> ready;
-  for (TaskId id = 0; id < tasks_.size(); ++id) {
-    if (tasks_[id].depLeft == kNoTask && tasks_[id].depRight == kNoTask) {
-      ready.push_back(id);
-    }
-  }
-  return ready;
-}
 
 std::string TaskForest::taskLabel(TaskId id) const {
   const Task& t = tasks_[id];

@@ -186,8 +186,11 @@ class TaskForest {
     return execs_[v];
   }
 
-  /// Tasks with no task-produced operands (ready at cycle 1).
-  [[nodiscard]] std::vector<TaskId> initialReady() const;
+  /// Tasks with no task-produced operands (ready at cycle 1), ascending:
+  /// the tasks whose initialPending() count is 0.
+  [[nodiscard]] const std::vector<TaskId>& initialReady() const {
+    return initialReady_;
+  }
 
   /// A display label in the style of the paper's figures: "m<tree>.<node>"
   /// with the component tree first.
@@ -221,6 +224,7 @@ class TaskForest {
   std::vector<std::uint8_t> outFate_;
   std::vector<std::uint8_t> initialPending_;
   std::vector<std::uint8_t> consumedOuts_;
+  std::vector<TaskId> initialReady_;
   ForestStats stats_;
 };
 

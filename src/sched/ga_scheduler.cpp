@@ -58,6 +58,7 @@ class Decoder {
     detail::HeapPolicy policy(
         heap_, [&keys](TaskId id) { return std::make_pair(keys[id], id); });
     if (!detail::runListScheduler(scratch_.list, forest_.initialPending(),
+                                  forest_.initialReady(),
                                   detail::consumersOf(forest_), mixers_,
                                   policy, schedule_)) {
       throw std::logic_error("GA: scheduler stalled");

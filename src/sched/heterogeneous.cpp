@@ -37,8 +37,9 @@ Schedule scheduleHeterogeneous(const TaskForest& forest,
 
   const std::vector<TaskId>& consumers = forest.outConsumers();
 
-  // Longest remaining dependency chain first (Hu priority).
+  // Longest remaining dependency chain first (Hu priority), ties by id.
   const std::vector<unsigned> colevel = detail::computeColevels(forest);
+  const unsigned longest = *std::max_element(colevel.begin(), colevel.end());
 
   const std::vector<std::uint8_t>& initialPending = forest.initialPending();
   std::vector<unsigned> pending(initialPending.begin(), initialPending.end());
@@ -58,22 +59,21 @@ Schedule scheduleHeterogeneous(const TaskForest& forest,
   });
   std::vector<unsigned> freeAt(bank.size(), 1);
 
-  // Min-heap over packed (colevel desc, id asc) keys.
-  std::vector<std::uint64_t> ready;
+  detail::BucketScratch storage;
+  detail::BucketQueue ready(storage, longest, n);
   std::size_t remaining = n;
   for (unsigned t = 1; remaining > 0; ++t) {
     const auto it = arrivals.find(t);
     if (it != arrivals.end()) {
       for (TaskId id : it->second) {
-        detail::heapPush(ready,
-                         ((detail::kIdMask - colevel[id]) << 32) | id);
+        ready.push(longest - colevel[id], id);
       }
       arrivals.erase(it);
     }
     for (unsigned m : order) {
       if (ready.empty()) break;
       if (freeAt[m] > t) continue;
-      const TaskId id = detail::taskOf(detail::heapPop(ready));
+      const TaskId id = ready.pop();
       s.place(id, t, m);
       const unsigned finish = t + bank.cyclesPerMix[m] - 1;
       freeAt[m] = finish + 1;

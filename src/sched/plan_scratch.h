@@ -19,7 +19,7 @@ namespace detail {
 
 /// The list-scheduling driver's bookkeeping (detail::runListScheduler).
 struct ListScratch {
-  std::vector<unsigned> pending;
+  std::vector<std::uint8_t> pending;
   /// The tasks that became schedulable this cycle, and those this cycle
   /// releases, which become schedulable the next one.
   std::vector<forest::TaskId> arrivals;
@@ -30,19 +30,31 @@ struct ListScratch {
   std::uint64_t slotsCleared = 0;
 };
 
+/// The storage of one bucketed ready queue (detail::BucketQueue): one id
+/// bitset per priority class, a summary bitset per class marking its
+/// non-empty words, and a mask marking the non-empty classes. Every bit is
+/// clear whenever `size` is 0, so a drained queue is reused without clearing.
+struct BucketScratch {
+  std::vector<std::uint64_t> bits;
+  std::vector<std::uint64_t> summary;
+  std::vector<std::uint64_t> classMask;
+  std::size_t size = 0;
+};
+
 /// The ready queues of the list-scheduling policies: MMS's FIFO, the
-/// verbatim Algorithm 2's two heaps, and the one heap of OMS and of the
+/// verbatim Algorithm 2's two queues, and the one queue of OMS and of the
 /// just-in-time pass.
 struct QueueScratch {
   std::vector<forest::TaskId> fifo;
-  std::vector<std::uint64_t> qInt;
-  std::vector<std::uint64_t> qLeaf;
-  std::vector<std::uint64_t> heap;
+  BucketScratch qInt;
+  BucketScratch qLeaf;
+  BucketScratch ranked;
 };
 
 /// SRS's just-in-time reverse pass.
 struct JitScratch {
   std::vector<unsigned> revColevel;
+  std::vector<forest::TaskId> roots;  // the reversed DAG's sources
   Schedule reversed;
   std::vector<unsigned> used;
 };
@@ -55,9 +67,18 @@ struct CappedScratch {
   /// The cycle-1 ready list every run starts from: the tasks with no
   /// predecessor, keyed (seed cycle, id) and sorted. Built once per seed.
   std::vector<std::uint64_t> initialReady;
-  std::vector<std::uint64_t> ready;  // sorted ascending by packed key
+  /// The ready consumers of stored droplets, sorted ascending by packed
+  /// key. Only cycle-1 tasks lack a mix-split operand, so every later
+  /// arrival lands here, and the ready producers are always a suffix of
+  /// `initialReady`, read through a cursor.
+  std::vector<std::uint64_t> ready;
   std::vector<std::uint64_t> arrivalKeys;
   std::vector<std::uint64_t> merged;
+  /// Work of the capped runs on this scratch, over its lifetime: ready
+  /// entries the service passes read, tasks they took, and cycles they ran.
+  std::uint64_t readyVisits = 0;
+  std::uint64_t tasksTaken = 0;
+  std::uint64_t cyclesRun = 0;
   Schedule out;  // the run's result; copied out on adoption
   /// Peak droplets parked in one cycle (carried - consumedNow) over the run.
   std::int64_t peak = 0;

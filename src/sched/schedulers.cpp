@@ -23,12 +23,10 @@ using forest::TaskId;
 
 namespace {
 
+using detail::BucketPolicy;
+using detail::BucketQueue;
 using detail::CappedScratch;
 using detail::consumersOf;
-using detail::heapPop;
-using detail::heapPush;
-using detail::HeapPolicy;
-using detail::kIdMask;
 using detail::runListScheduler;
 
 // MMS, Algorithm 2 and OMS: the forward DAG, into `s`.
@@ -43,7 +41,8 @@ void scheduleForwardInto(const TaskForest& forest, unsigned mixers,
   s.mixerCount = mixers;
   s.scheme = name;
   if (!runListScheduler(scratch.list, forest.initialPending(),
-                        consumersOf(forest), mixers, policy, s)) {
+                        forest.initialReady(), consumersOf(forest), mixers,
+                        policy, s)) {
     throw std::logic_error(s.scheme + ": scheduler stalled");
   }
 }
@@ -66,13 +65,15 @@ class MmsPolicy {
     queue_->clear();
   }
 
-  void add(std::vector<TaskId>& arrivals) {
-    std::sort(arrivals.begin(), arrivals.end(), [this](TaskId a, TaskId b) {
-      const unsigned la = (*levels_)[a];
-      const unsigned lb = (*levels_)[b];
-      return la != lb ? la < lb : a < b;
-    });
+  void add(const std::vector<TaskId>& arrivals) {
+    const auto first = static_cast<std::ptrdiff_t>(queue_->size());
     queue_->insert(queue_->end(), arrivals.begin(), arrivals.end());
+    std::sort(queue_->begin() + first, queue_->end(),
+              [this](TaskId a, TaskId b) {
+                const unsigned la = (*levels_)[a];
+                const unsigned lb = (*levels_)[b];
+                return la != lb ? la < lb : a < b;
+              });
   }
 
   bool take(unsigned /*t*/, unsigned capacity, std::vector<TaskId>& out) {
@@ -93,36 +94,38 @@ class MmsPolicy {
 // Literal Algorithm 2 policy: Q_int (Type-A/B, highest level first) is served
 // before Q_leaf (Type-C, lowest level first); when |Q_int| >= Mc no Type-C
 // node runs this cycle, matching the paper's dequeue formula
-// max(0, min(Mc - |Q_int|, |Q_leaf|)).
+// max(0, min(Mc - |Q_int|, |Q_leaf|)). Both queues break ties by task id.
 class SrsGreedyPolicy {
  public:
   SrsGreedyPolicy(const TaskForest& forest, detail::QueueScratch& queues)
-      : forest_(&forest), qInt_(&queues.qInt), qLeaf_(&queues.qLeaf) {
-    qInt_->clear();
-    qLeaf_->clear();
-  }
+      : forest_(&forest),
+        maxLevel_(forest.taskCount() == 0
+                      ? 0
+                      : *std::max_element(forest.taskLevels().begin(),
+                                          forest.taskLevels().end())),
+        qInt_(queues.qInt, maxLevel_ + 1, forest.taskCount()),
+        qLeaf_(queues.qLeaf, maxLevel_ + 1, forest.taskCount()) {}
 
   void add(const std::vector<TaskId>& arrivals) {
     const std::vector<unsigned>& levels = forest_->taskLevels();
     for (TaskId id : arrivals) {
-      const auto level = std::uint64_t{levels[id]};
       if (forest_->task(id).operandClass == OperandClass::kTypeC) {
-        heapPush(*qLeaf_, (level << 32) | id);  // lowest level first
+        qLeaf_.push(levels[id], id);  // lowest level first
       } else {
-        heapPush(*qInt_, ((kIdMask - level) << 32) | id);  // highest first
+        qInt_.push(maxLevel_ - levels[id], id);  // highest first
       }
     }
   }
 
   bool take(unsigned /*t*/, unsigned capacity, std::vector<TaskId>& out) {
-    const std::size_t intNodes = qInt_->size();
-    for (unsigned k = 0; k < capacity && !qInt_->empty(); ++k) {
-      out.push_back(detail::taskOf(heapPop(*qInt_)));
+    const std::size_t intNodes = qInt_.size();
+    for (unsigned k = 0; k < capacity && !qInt_.empty(); ++k) {
+      out.push_back(qInt_.pop());
     }
     if (capacity > intNodes) {
       unsigned leafBudget = capacity - static_cast<unsigned>(intNodes);
-      while (leafBudget-- > 0 && !qLeaf_->empty()) {
-        out.push_back(detail::taskOf(heapPop(*qLeaf_)));
+      while (leafBudget-- > 0 && !qLeaf_.empty()) {
+        out.push_back(qLeaf_.pop());
       }
     }
     return true;
@@ -130,8 +133,9 @@ class SrsGreedyPolicy {
 
  private:
   const TaskForest* forest_;
-  std::vector<std::uint64_t>* qInt_;
-  std::vector<std::uint64_t>* qLeaf_;
+  unsigned maxLevel_;
+  BucketQueue qInt_;
+  BucketQueue qLeaf_;
 };
 
 }  // namespace
@@ -175,7 +179,7 @@ Schedule scheduleSRSGreedy(const TaskForest& forest, unsigned mixers) {
                          "SRS-greedy", scratch);
 }
 
-namespace {
+namespace detail {
 
 // Latest-feasible (just-in-time) schedule: list-schedule the reversed
 // precedence DAG, then mirror the result in time, so droplets are produced
@@ -197,39 +201,47 @@ Schedule scheduleJustInTime(const TaskForest& forest, unsigned mixers,
   // whose stall is free (section 4.2.2) — end up deferred the most: they sit
   // at the reversed DAG's deepest positions. Mixers idle rather than dispense
   // early, the behaviour the paper attributes to SRS.
-  detail::JitScratch& jit = scratch.jit;
+  JitScratch& jit = scratch.jit;
 
   const std::vector<TaskId>& depLeft = forest.depLefts();
   const std::vector<TaskId>& depRight = forest.depRights();
 
   // Reverse chain length: longest path from a task back through its operand
-  // producers (its successors in the reversed DAG).
+  // producers (its successors in the reversed DAG). The reversed DAG's
+  // sources are the tasks none of whose droplets is consumed.
+  const std::vector<std::uint8_t>& consumedOuts = forest.consumedOutCounts();
   std::vector<unsigned>& revColevel = jit.revColevel;
+  std::vector<TaskId>& roots = jit.roots;
   revColevel.assign(n, 1);
+  roots.clear();
+  unsigned longest = 1;
   for (TaskId id = 0; id < n; ++id) {
     for (TaskId dep : {depLeft[id], depRight[id]}) {
       if (dep != kNoTask) {
         revColevel[id] = std::max(revColevel[id], revColevel[dep] + 1);
       }
     }
+    longest = std::max(longest, revColevel[id]);
+    if (consumedOuts[id] == 0) roots.push_back(id);
   }
 
   // Reverse readiness: a task is reverse-ready once every consumer of its
   // droplets is reverse-scheduled. Root instances (no consumers) seed it.
   // Priority: longest reverse chain first (Hu on the reversed DAG), breaking
   // ties in favour of Type-C nodes (defer them furthest in forward time),
-  // then by task id. Packed as (revColevel desc, typeC-first bit, id).
-  HeapPolicy policy(scratch.queues.heap, [&](TaskId id) {
-    const bool typeC =
-        forest.task(id).operandClass == OperandClass::kTypeC;
-    return ((0x7FFFFFFFull - revColevel[id]) << 33) |
-           (std::uint64_t{typeC ? 0u : 1u} << 32) | id;
-  });
+  // then by task id. Class 2 * (longest - revColevel) + (Type-C ? 0 : 1).
+  BucketPolicy policy(scratch.queues.ranked, 2 * std::size_t{longest}, n,
+                      [&](TaskId id) {
+                        const bool typeC = forest.task(id).operandClass ==
+                                           OperandClass::kTypeC;
+                        return 2 * std::size_t{longest - revColevel[id]} +
+                               (typeC ? 0 : 1);
+                      });
   const auto producersOf = [&](TaskId id) {
     return std::array<TaskId, 2>{depLeft[id], depRight[id]};
   };
   Schedule& reversed = jit.reversed;
-  if (!runListScheduler(scratch.list, forest.consumedOutCounts(), producersOf,
+  if (!runListScheduler(scratch.list, consumedOuts, roots, producersOf,
                         mixers, policy, reversed)) {
     throw std::logic_error("SRS: reverse pass stalled");
   }
@@ -246,7 +258,7 @@ Schedule scheduleJustInTime(const TaskForest& forest, unsigned mixers,
   return s;
 }
 
-}  // namespace
+}  // namespace detail
 
 namespace {
 
@@ -257,13 +269,10 @@ void seedCappedRuns(const TaskForest& forest,
                     const std::vector<unsigned>& seedCycles,
                     CappedScratch& scratch) {
   scratch.seedCycles.assign(seedCycles.begin(), seedCycles.end());
-  const std::vector<std::uint8_t>& pending = forest.initialPending();
   std::vector<std::uint64_t>& ready = scratch.initialReady;
   ready.clear();
-  for (TaskId id = 0; id < pending.size(); ++id) {
-    if (pending[id] == 0) {
-      ready.push_back((std::uint64_t{scratch.seedCycles[id]} << 32) | id);
-    }
+  for (const TaskId id : forest.initialReady()) {
+    ready.push_back((std::uint64_t{scratch.seedCycles[id]} << 32) | id);
   }
   std::sort(ready.begin(), ready.end());
 }
@@ -303,16 +312,18 @@ class CappedPolicy {
 
   // Ready tasks in just-in-time order: the latest-feasible schedule's cycle
   // assignment pipelines production right before consumption, so following
-  // it under the cap keeps partner droplets adjacent. The queue is a flat
-  // vector sorted ascending by (jit cycle, id): arrivals merge in, and the
-  // two service passes compact the survivors in place — iteration order
-  // matches the std::set this replaced, with zero node allocations. The
-  // first arrivals are the tasks with no predecessor, whose sorted keys the
-  // seed already holds: merged into the empty queue they are that list.
+  // it under the cap keeps partner droplets adjacent. Only the cycle-1 tasks
+  // lack a mix-split operand, so the ready producers are always those of
+  // the seed's sorted cycle-1 list (initialReady) not yet served — a suffix,
+  // since pass 2 serves them strictly in order — read through a cursor and
+  // never copied. Every later arrival consumes a stored droplet and merges
+  // into the consumers' flat vector, sorted ascending by (jit cycle, id).
+  // Merged, the two lists give the order of one ready list sorted by that
+  // key, so the passes below test tasks as such a list would (DESIGN.md
+  // §15).
   void add(const std::vector<TaskId>& arrivals) {
     if (!started_) {
-      started_ = true;
-      scratch_.ready = scratch_.initialReady;
+      started_ = true;  // the cycle-1 arrivals: initialReady's tasks
       return;
     }
     std::vector<std::uint64_t>& keys = scratch_.arrivalKeys;
@@ -348,21 +359,17 @@ class CappedPolicy {
   // The invariant itself is checked at the end of every cycle.
   bool take(unsigned t, unsigned capacity, std::vector<TaskId>& batch) {
     if (t > limits_.deadline) return false;
-    std::vector<std::uint64_t>& ready = scratch_.ready;
+    ++scratch_.cyclesRun;
     std::int64_t consumedNow = 0;
     std::int64_t producedNow = 0;
     // Pass 1 — consumers of stored droplets (the Q_int of Algorithm 2), in
     // just-in-time order. Emptying storage takes precedence over everything.
+    std::vector<std::uint64_t>& ready = scratch_.ready;
     std::size_t w = 0;
     std::size_t i = 0;
-    for (; i < ready.size(); ++i) {
-      if (batch.size() >= capacity) break;
-      const auto id = static_cast<TaskId>(ready[i] & kIdMask);
+    for (; i < ready.size() && batch.size() < capacity; ++i) {
+      const TaskId id = detail::taskOf(ready[i]);
       const std::int64_t cons = storedOperands_[id];
-      if (cons == 0) {
-        ready[w++] = ready[i];
-        continue;
-      }
       const std::int64_t prod = consumedOuts_[id];
       if (prod > cons &&
           !admits(carried_ - consumedNow - cons + producedNow + prod)) {
@@ -373,30 +380,26 @@ class CappedPolicy {
       producedNow += prod;
       batch.push_back(id);
     }
-    for (; i < ready.size(); ++i) ready[w++] = ready[i];
-    ready.resize(w);
+    scratch_.readyVisits += i;
+    ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(w),
+                ready.begin() + static_cast<std::ptrdiff_t>(i));
     // Pass 2 — fresh dispense mixes (Q_leaf), strictly in just-in-time
     // order: letting a later dispense mix jump a stalled one fills the
     // storage with droplets whose partners can then never be made (the
     // classic storage deadlock).
-    w = 0;
-    i = 0;
-    for (; i < ready.size(); ++i) {
-      if (batch.size() >= capacity) break;
-      const auto id = static_cast<TaskId>(ready[i] & kIdMask);
-      if (storedOperands_[id] != 0) {
-        ready[w++] = ready[i];
-        continue;
-      }
+    const std::vector<std::uint64_t>& producers = scratch_.initialReady;
+    while (nextProducer_ < producers.size() && batch.size() < capacity) {
+      ++scratch_.readyVisits;
+      const TaskId id = detail::taskOf(producers[nextProducer_]);
       const std::int64_t prod = consumedOuts_[id];
       if (!admits(carried_ - consumedNow + producedNow + prod)) {
         break;  // strict order among producers
       }
       producedNow += prod;
       batch.push_back(id);
+      ++nextProducer_;
     }
-    for (; i < ready.size(); ++i) ready[w++] = ready[i];
-    ready.resize(w);
+    scratch_.tasksTaken += batch.size();
 
     if (consumedNow > carried_) {
       // A cycle consumed more droplets than it carried in — the readiness
@@ -429,6 +432,7 @@ class CappedPolicy {
   const CappedLimits& limits_;
   CappedScratch& scratch_;
   std::int64_t carried_ = 0;
+  std::size_t nextProducer_ = 0;  // into scratch_.initialReady
   bool started_ = false;
 };
 
@@ -444,7 +448,8 @@ bool tryStorageCapped(const TaskForest& forest, unsigned mixers,
   s.scheme = "capped";
   CappedPolicy policy(forest, limits, scratch.capped);
   return runListScheduler(scratch.list, forest.initialPending(),
-                          consumersOf(forest), mixers, policy, s);
+                          forest.initialReady(), consumersOf(forest), mixers,
+                          policy, s);
 }
 
 /// The production-lookahead window ladder. Small mixer banks make the ladder
@@ -485,7 +490,8 @@ Schedule scheduleStorageCapped(const TaskForest& forest, unsigned mixers,
   // strictly improving, so once a schedule is held a run may give up as soon
   // as it can no longer finish before it.
   PlanScratch scratch;
-  seedCappedRuns(forest, scheduleJustInTime(forest, mixers, scratch).cycles,
+  seedCappedRuns(forest,
+                 detail::scheduleJustInTime(forest, mixers, scratch).cycles,
                  scratch.capped);
   std::optional<Schedule> best;
   forEachWindow(mixers, [&](unsigned window) {
@@ -553,7 +559,7 @@ SrsPrelude srsPrelude(const TaskForest& forest, unsigned mixers,
     throw std::invalid_argument("SRS: at least one mixer required");
   }
   SrsPrelude pool{forest, scratch,
-                  scheduleJustInTime(forest, mixers, scratch)};
+                  detail::scheduleJustInTime(forest, mixers, scratch)};
   pool.best.scheme = "SRS";
   if (forest.taskCount() == 0) return pool;
   pool.bestStorage = countStorage(forest, pool.best, scratch);
@@ -712,14 +718,16 @@ Schedule scheduleOMS(const TaskForest& forest, unsigned mixers) {
 
 Schedule scheduleOMS(const TaskForest& forest, unsigned mixers,
                      PlanScratch& scratch) {
-  // Hu / critical-path priority: longest path to an emitted droplet first.
+  // Hu / critical-path priority: longest path to an emitted droplet first,
+  // ties by task id.
   const std::vector<unsigned> colevel = detail::computeColevels(forest);
-  const auto longestFirst = [&colevel](TaskId id) {
-    return ((kIdMask - std::uint64_t{colevel[id]}) << 32) | id;
-  };
-  return scheduleForward(forest, mixers,
-                         HeapPolicy(scratch.queues.heap, longestFirst), "OMS",
-                         scratch);
+  const unsigned longest =
+      colevel.empty() ? 0 : *std::max_element(colevel.begin(), colevel.end());
+  return scheduleForward(
+      forest, mixers,
+      BucketPolicy(scratch.queues.ranked, longest, colevel.size(),
+                   [&](TaskId id) { return longest - colevel[id]; }),
+      "OMS", scratch);
 }
 
 unsigned criticalPathLength(const TaskForest& forest) {

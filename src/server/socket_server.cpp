@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -10,6 +11,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/log.h"
@@ -24,6 +26,14 @@ void closeFd(int fd) {
   if (fd >= 0) ::close(fd);
 }
 
+/// Sends each write at once instead of holding it back until the previous
+/// one is acknowledged: one request line or response is one write, and a
+/// delayed acknowledgement would otherwise stall every round trip.
+void setNoDelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 /// Writes the whole buffer, riding out EINTR and partial writes.
 bool writeAll(int fd, const char* data, std::size_t size) {
   std::size_t sent = 0;
@@ -36,6 +46,12 @@ bool writeAll(int fd, const char* data, std::size_t size) {
     sent += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+/// Writes `line` and its newline in one send.
+bool writeLine(int fd, std::string& line) {
+  line.push_back('\n');
+  return writeAll(fd, line.data(), line.size());
 }
 
 }  // namespace
@@ -95,6 +111,7 @@ void SocketServer::run() {
       closeFd(fd);
       break;
     }
+    setNoDelay(fd);
     obs::count("server.connections");
     obs::LogLine(obs::LogLevel::kDebug, "server.connection.accept")
         .num("fd", static_cast<std::uint64_t>(fd));
@@ -192,12 +209,10 @@ void SocketServer::serveConnection(int fd, unsigned user) {
       const char* const lineEnd = newline != nullptr ? newline : end;
       if (line.size() + static_cast<std::size_t>(lineEnd - cursor) >
           kMaxRequestLineBytes) {
-        const std::string response = PlanService::errorResponse(
+        std::string response = PlanService::errorResponse(
             "request", "request line exceeds " +
                            std::to_string(kMaxRequestLineBytes) + " bytes");
-        if (writeAll(fd, response.data(), response.size())) {
-          writeAll(fd, "\n", 1);
-        }
+        writeLine(fd, response);
         closeFd(fd);
         return;
       }
@@ -206,10 +221,8 @@ void SocketServer::serveConnection(int fd, unsigned user) {
       cursor = newline + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;  // blank lines are keepalive noise
-      const std::string response =
-          service_.handle(line, &shutdownRequested, user);
-      if (!writeAll(fd, response.data(), response.size()) ||
-          !writeAll(fd, "\n", 1)) {
+      std::string response = service_.handle(line, &shutdownRequested, user);
+      if (!writeLine(fd, response)) {
         closeFd(fd);
         return;
       }
@@ -236,28 +249,36 @@ bool driveLines(unsigned short port, std::istream& in, std::ostream& out) {
     closeFd(fd);
     return false;
   }
+  setNoDelay(fd);
   std::string line;
+  // Bytes received past the response line being read; the server answers
+  // one line per request, so this is normally empty between requests.
+  std::string received;
+  char buffer[4096];
   bool ok = true;
   while (ok && std::getline(in, line)) {
     if (line.empty()) continue;
-    if (!writeAll(fd, line.data(), line.size()) || !writeAll(fd, "\n", 1)) {
+    if (!writeLine(fd, line)) {
       ok = false;
       break;
     }
-    // Read exactly one response line per request.
-    std::string response;
-    char ch;
-    for (;;) {
-      const ssize_t n = ::recv(fd, &ch, 1, 0);
+    // Read exactly one response line per request, scanning only the bytes
+    // each recv adds.
+    std::size_t newline = received.find('\n');
+    while (newline == std::string::npos) {
+      const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) {
         ok = false;
         break;
       }
-      if (ch == '\n') break;
-      response.push_back(ch);
+      const std::size_t scanned = received.size();
+      received.append(buffer, static_cast<std::size_t>(n));
+      newline = received.find('\n', scanned);
     }
     if (!ok) break;
+    const std::string response = received.substr(0, newline);
+    received.erase(0, newline + 1);
     out << response << '\n';
     // After a shutdown acknowledgement the server hangs up; remaining
     // driver lines (there should be none) would only see a dead socket.

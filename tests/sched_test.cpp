@@ -3,11 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <iostream>
 #include <optional>
+#include <queue>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "dmf/errors.h"
 #include "mixgraph/builders.h"
@@ -15,6 +22,7 @@
 #include "sched/ga_scheduler.h"
 #include "sched/gantt.h"
 #include "sched/heterogeneous.h"
+#include "sched/list_scheduler.h"
 #include "sched/schedule.h"
 #include "workload/random_ratios.h"
 #include "workload/ratio_corpus.h"
@@ -354,6 +362,224 @@ TEST(GaScheduler, CorpusScheduleHashPinned) {
     if (f.demand() <= 32) hash.add(scheduleGA(f, mixers, options));
   });
   EXPECT_EQ(hash.value(), 0x54079b6046b6a8f0ull);
+}
+
+// ---------------------------------------------------------------------------
+// Bucketed ready queues against heap-ordered references. The just-in-time
+// pass, OMS and the verbatim Algorithm 2 pop a detail::BucketQueue; the
+// references below rebuild each on a binary min-heap of packed 64-bit
+// (priority << 32 | id) keys.
+
+using MinHeap = std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
+                                    std::greater<>>;
+constexpr std::uint64_t kLow32 = 0xFFFFFFFFull;
+
+forest::TaskId popId(MinHeap& heap) {
+  const auto id = static_cast<forest::TaskId>(heap.top() & kLow32);
+  heap.pop();
+  return id;
+}
+
+template <typename KeyOf>
+class ReferenceHeapPolicy {
+ public:
+  explicit ReferenceHeapPolicy(KeyOf keyOf) : keyOf_(std::move(keyOf)) {}
+
+  void add(const std::vector<forest::TaskId>& arrivals) {
+    for (forest::TaskId id : arrivals) heap_.push(keyOf_(id));
+  }
+
+  bool take(unsigned /*t*/, unsigned capacity,
+            std::vector<forest::TaskId>& out) {
+    while (capacity-- > 0 && !heap_.empty()) out.push_back(popId(heap_));
+    return true;
+  }
+
+ private:
+  KeyOf keyOf_;
+  MinHeap heap_;
+};
+
+// Algorithm 2's two queues: Type-A/B highest level first, then Type-C
+// lowest level first within what the Type-A/B backlog leaves.
+class ReferenceAlgorithm2Policy {
+ public:
+  explicit ReferenceAlgorithm2Policy(const TaskForest& forest)
+      : forest_(forest) {}
+
+  void add(const std::vector<forest::TaskId>& arrivals) {
+    for (forest::TaskId id : arrivals) {
+      const std::uint64_t level = forest_.taskLevels()[id];
+      if (forest_.task(id).operandClass == forest::OperandClass::kTypeC) {
+        qLeaf_.push((level << 32) | id);
+      } else {
+        qInt_.push(((kLow32 - level) << 32) | id);
+      }
+    }
+  }
+
+  bool take(unsigned /*t*/, unsigned capacity,
+            std::vector<forest::TaskId>& out) {
+    const std::size_t intNodes = qInt_.size();
+    for (unsigned k = 0; k < capacity && !qInt_.empty(); ++k) {
+      out.push_back(popId(qInt_));
+    }
+    for (std::size_t k = intNodes; k < capacity && !qLeaf_.empty(); ++k) {
+      out.push_back(popId(qLeaf_));
+    }
+    return true;
+  }
+
+ private:
+  const TaskForest& forest_;
+  MinHeap qInt_;
+  MinHeap qLeaf_;
+};
+
+template <typename Policy>
+Schedule referenceForward(const TaskForest& f, unsigned mixers,
+                          Policy policy) {
+  PlanScratch scratch;
+  Schedule s;
+  EXPECT_TRUE(detail::runListScheduler(scratch.list, f.initialPending(),
+                                       f.initialReady(), detail::consumersOf(f),
+                                       mixers, policy, s));
+  return s;
+}
+
+Schedule referenceOms(const TaskForest& f, unsigned mixers) {
+  const std::vector<unsigned> colevel = detail::computeColevels(f);
+  return referenceForward(f, mixers,
+                          ReferenceHeapPolicy([&](forest::TaskId id) {
+                            return ((kLow32 - colevel[id]) << 32) | id;
+                          }));
+}
+
+// The reversed DAG list-scheduled longest reverse chain first, Type-C first
+// among equals, then mirrored in time.
+Schedule referenceJustInTime(const TaskForest& f, unsigned mixers) {
+  const std::size_t n = f.taskCount();
+  std::vector<std::uint64_t> rev(n, 1);
+  std::vector<forest::TaskId> roots;
+  for (forest::TaskId id = 0; id < n; ++id) {
+    for (forest::TaskId dep : {f.depLefts()[id], f.depRights()[id]}) {
+      if (dep != forest::kNoTask) rev[id] = std::max(rev[id], rev[dep] + 1);
+    }
+    if (f.consumedOutCounts()[id] == 0) roots.push_back(id);
+  }
+  ReferenceHeapPolicy policy([&](forest::TaskId id) {
+    const bool typeC = f.task(id).operandClass == forest::OperandClass::kTypeC;
+    return ((0x7FFFFFFFull - rev[id]) << 33) |
+           (std::uint64_t{typeC ? 0u : 1u} << 32) | id;
+  });
+  PlanScratch scratch;
+  Schedule reversed;
+  const auto producersOf = [&](forest::TaskId id) {
+    return std::array<forest::TaskId, 2>{f.depLefts()[id], f.depRights()[id]};
+  };
+  EXPECT_TRUE(detail::runListScheduler(scratch.list, f.consumedOutCounts(),
+                                       roots, producersOf, mixers, policy,
+                                       reversed));
+  Schedule s;
+  s.reset(n);
+  const unsigned span = reversed.completionTime;
+  std::vector<unsigned> used(span + 2, 0);
+  for (forest::TaskId id = 0; id < n; ++id) {
+    const unsigned cycle = span + 1 - reversed.cycles[id];
+    s.place(id, cycle, used[cycle]++);
+  }
+  s.completionTime = span;
+  return s;
+}
+
+void expectSameOrder(const Schedule& got, const Schedule& want,
+                     const std::string& label) {
+  EXPECT_EQ(got.completionTime, want.completionTime) << label;
+  EXPECT_EQ(got.cycles, want.cycles) << label;
+  EXPECT_EQ(got.mixers, want.mixers) << label;
+}
+
+void expectBucketQueuesMatchHeaps(const TaskForest& f, unsigned mixers,
+                                  PlanScratch& scratch,
+                                  const std::string& label) {
+  expectSameOrder(detail::scheduleJustInTime(f, mixers, scratch),
+                  referenceJustInTime(f, mixers), label + " just-in-time");
+  expectSameOrder(scheduleOMS(f, mixers, scratch), referenceOms(f, mixers),
+                  label + " OMS");
+  expectSameOrder(
+      scheduleSRSGreedy(f, mixers),
+      referenceForward(f, mixers, ReferenceAlgorithm2Policy(f)),
+      label + " Algorithm 2");
+}
+
+TEST(BucketQueue, CorpusSchedulesMatchHeapOrderedReference) {
+  // One scratch for the whole corpus: queues drained by one run are reused
+  // by the next, however their class and id counts differ.
+  PlanScratch scratch;
+  std::size_t runs = 0;
+  forEachCorpusForest([&](const TaskForest& f, unsigned mixers) {
+    expectBucketQueuesMatchHeaps(
+        f, mixers, scratch,
+        "D=" + std::to_string(f.demand()) + " mixers=" +
+            std::to_string(mixers) + " tasks=" +
+            std::to_string(f.taskCount()));
+    ++runs;
+  });
+  EXPECT_GT(runs, 1000u);
+}
+
+TEST(BucketQueue, DeepRatioSpansMoreThan64Classes) {
+  // Sum 2^40: accuracy level d = 40, so the just-in-time pass's reverse
+  // chains reach 40 and its two classes per chain length exceed one mask
+  // word.
+  const MixingGraph g = buildMM(Ratio({1, 1099511627775ull}));
+  PlanScratch scratch;
+  for (std::uint64_t demand : {1u, 2u, 7u, 32u}) {
+    const TaskForest f(g, demand);
+    ASSERT_GT(2 * criticalPathLength(f), 64u);
+    for (unsigned mixers : {1u, 2u, 3u, 8u}) {
+      expectBucketQueuesMatchHeaps(f, mixers, scratch,
+                                   "deep D=" + std::to_string(demand) +
+                                       " mixers=" + std::to_string(mixers));
+    }
+  }
+}
+
+TEST(BucketQueue, PopsClassThenIdAcrossWordBoundaries) {
+  // 200 classes (four mask words) over 9000 ids (three summary words per
+  // class): a drained queue's storage is reused as is, one abandoned with
+  // entries left is cleared by the next queue built on it.
+  detail::BucketScratch storage;
+  std::uint64_t state = 12345;
+  const auto next = [&state](std::uint64_t bound) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return (state >> 33) % bound;
+  };
+  for (int round = 0; round < 3; ++round) {
+    detail::BucketQueue queue(storage, 200, 9000);
+    std::set<std::pair<std::size_t, forest::TaskId>> reference;
+    std::vector<bool> used(9000, false);
+    for (int step = 0; step < 20000; ++step) {
+      if (reference.empty() || next(3) != 0) {
+        const auto id = static_cast<forest::TaskId>(next(9000));
+        if (used[id]) continue;
+        used[id] = true;
+        const std::size_t cls = next(200);
+        queue.push(cls, id);
+        reference.insert({cls, id});
+      } else {
+        ASSERT_EQ(queue.pop(), reference.begin()->second);
+        reference.erase(reference.begin());
+      }
+      ASSERT_EQ(queue.size(), reference.size());
+    }
+    if (round == 1) continue;  // abandoned with entries left
+    while (!reference.empty()) {
+      ASSERT_EQ(queue.pop(), reference.begin()->second);
+      reference.erase(reference.begin());
+    }
+    EXPECT_TRUE(queue.empty());
+  }
 }
 
 // The capped scheduleSRS may return nullopt only when scheduleSRS really

@@ -496,6 +496,23 @@ TEST(PlanScratch, SmallRunAfterLargeMatchesFreshAndClearsOnlyItsSlots) {
   EXPECT_GT(scratch.arrivalSlotsCleared(), before);
 }
 
+TEST(PlanScratch, CappedRunsVisitOnlyWhatTheyTakeOrRefuse) {
+  // A "no" from fits() is proven by the clipped scan's capped runs, which
+  // fail within a few cycles of a forest whose cycle-1 ready list holds
+  // hundreds of dispense mixes. Each cycle may read the ready consumers and
+  // the producers it serves, plus the one it refuses: never the whole list.
+  const MdstEngine engine = engineFor("2:1:1:1:1:1:9");
+  PassCache cache;
+  sched::PlanScratch scratch;
+  ASSERT_FALSE(
+      cache.fits(engine, Algorithm::MM, Scheme::kSRS, 3, 4096, 3, scratch));
+  const sched::detail::CappedScratch& capped = scratch.capped;
+  ASSERT_GT(capped.cyclesRun, 0u);
+  EXPECT_GT(capped.initialReady.size(), 100u);
+  EXPECT_LE(capped.readyVisits, 4 * (capped.tasksTaken + capped.cyclesRun))
+      << capped.tasksTaken << " tasks in " << capped.cyclesRun << " cycles";
+}
+
 TEST(PlanScratch, ReusedAcrossASweepMatchesFreshScratch) {
   // Large and small passes interleaved on one scratch, under the cap the
   // streaming search probes with and without it, for every scheme.
