@@ -54,7 +54,7 @@ void checkForestConservation(const TaskForest& forest, CheckResult& out) {
   std::set<std::uint32_t> trees;
   std::map<mixgraph::NodeId, std::uint64_t> execsPerNode;
   for (TaskId id = 0; id < forest.taskCount(); ++id) {
-    const Task& t = forest.task(id);
+    const Task t = forest.task(id);
     trees.insert(t.tree);
     ++execsPerNode[t.node];
     const mixgraph::Node& node = forest.graph().node(t.node);
@@ -136,7 +136,7 @@ void checkForestWiring(const TaskForest& forest, CheckResult& out) {
   std::vector<std::uint64_t> claimed(n, 0);
   std::vector<std::uint64_t> granted(n, 0);
   for (TaskId id = 0; id < n; ++id) {
-    const Task& t = forest.task(id);
+    const Task t = forest.task(id);
     for (TaskId dep : {t.depLeft, t.depRight}) {
       if (dep == kNoTask) continue;
       ++out.checksRun;
@@ -165,7 +165,7 @@ void checkForestWiring(const TaskForest& forest, CheckResult& out) {
       }
       ++granted[drop.consumer];
       // The consumer must actually list this producer as an operand.
-      const Task& c = forest.task(drop.consumer);
+      const Task c = forest.task(drop.consumer);
       if (c.depLeft != id && c.depRight != id) {
         out.fail(kOracle, "task " + std::to_string(drop.consumer) +
                               " consumes a droplet of task " +
@@ -189,7 +189,7 @@ void checkForestWiring(const TaskForest& forest, CheckResult& out) {
     colour[start] = 1;
     while (!stack.empty() && !cyclic) {
       auto& [id, edge] = stack.back();
-      const Task& t = forest.task(id);
+      const Task t = forest.task(id);
       const TaskId deps[2] = {t.depLeft, t.depRight};
       if (edge >= 2) {
         colour[id] = 2;
@@ -227,7 +227,7 @@ void checkMixtureCorrectness(const TaskForest& forest, CheckResult& out) {
         stack.pop_back();
         continue;
       }
-      const Task& t = forest.task(id);
+      const Task t = forest.task(id);
       bool readyToEval = true;
       for (TaskId dep : {t.depLeft, t.depRight}) {
         if (dep != kNoTask && dep < n && !value[dep].has_value()) {
@@ -267,7 +267,7 @@ void checkMixtureCorrectness(const TaskForest& forest, CheckResult& out) {
   // node — for classic forests that is the target ratio itself.
   std::map<mixgraph::NodeId, std::uint64_t> targetsPerNode;
   for (TaskId id = 0; id < n; ++id) {
-    const Task& t = forest.task(id);
+    const Task t = forest.task(id);
     for (const auto& drop : t.out) {
       if (drop.fate != DropletFate::kTarget) continue;
       ++targetsPerNode[t.node];
@@ -335,7 +335,7 @@ void checkScheduleValidity(const TaskForest& forest, const sched::Schedule& s,
                             std::to_string(cycle) + " mixer " +
                             std::to_string(mixer));
     }
-    const Task& t = forest.task(id);
+    const Task t = forest.task(id);
     for (TaskId dep : {t.depLeft, t.depRight}) {
       if (dep == kNoTask || dep >= n) continue;
       if (s.cycles[dep] >= cycle) {
@@ -359,7 +359,8 @@ unsigned storageOracle(const TaskForest& forest, const sched::Schedule& s) {
   std::vector<std::int64_t> delta(horizon + 2, 0);
   for (TaskId id = 0; id < forest.taskCount(); ++id) {
     const unsigned produced = s.cycles[id];
-    for (const auto& drop : forest.task(id).out) {
+    const Task task = forest.task(id);
+    for (const auto& drop : task.out) {
       if (drop.fate != DropletFate::kConsumed) continue;
       const unsigned consumed = s.cycles[drop.consumer];
       if (consumed > produced + 1) {
@@ -398,7 +399,7 @@ unsigned criticalPathOracle(const TaskForest& forest) {
         stack.pop_back();
         continue;
       }
-      const Task& t = forest.task(id);
+      const Task t = forest.task(id);
       unsigned longest = 0;
       bool readyToEval = true;
       for (TaskId dep : {t.depLeft, t.depRight}) {

@@ -94,7 +94,7 @@ ExecutionTrace ChipExecutor::run(const TaskForest& forest,
   {
     const obs::Span dispenseSpan("chip.dispense_batch", "chip");
     for (TaskId id = 0; id < forest.taskCount(); ++id) {
-      const forest::Task& t = forest.task(id);
+      const forest::Task t = forest.task(id);
       const auto& node = forest.graph().node(t.node);
       const unsigned cycle = cycleOf(id);
       for (const auto& [dep, child] : {std::pair{t.depLeft, node.left},
@@ -114,7 +114,8 @@ ExecutionTrace ChipExecutor::run(const TaskForest& forest,
   for (TaskId id = 0; id < forest.taskCount(); ++id) {
     const unsigned produced = cycleOf(id);
     const ModuleId from = mixerOf(id);
-    for (const auto& drop : forest.task(id).out) {
+    const forest::Task task = forest.task(id);
+    for (const auto& drop : task.out) {
       switch (drop.fate) {
         case DropletFate::kTarget:
           trace.moves.push_back(Move{MoveKind::kToOutput, produced + 1, from,

@@ -113,7 +113,7 @@ std::uint32_t spliceTasks(RunState& state, const forest::TaskForest& forest,
   const auto base = static_cast<std::uint32_t>(state.tasks.size());
   const mixgraph::MixingGraph& graph = forest.graph();
   for (forest::TaskId id = 0; id < forest.taskCount(); ++id) {
-    const forest::Task& t = forest.task(id);
+    const forest::Task t = forest.task(id);
     RtTask rt;
     rt.forest = &forest;
     rt.id = id;
@@ -140,7 +140,7 @@ std::uint32_t spliceTasks(RunState& state, const forest::TaskForest& forest,
       d.fate = t.out[s].fate;
       if (d.fate == forest::DropletFate::kConsumed) {
         d.consumer = base + t.out[s].consumer;
-        const forest::Task& c = forest.task(t.out[s].consumer);
+        const forest::Task c = forest.task(t.out[s].consumer);
         d.consumerSlot = c.depLeft == id ? 0 : 1;
       }
     }
@@ -352,7 +352,7 @@ RecoveryReport RecoveryEngine::run(const forest::TaskForest& forest,
           inheritedFault = d.faultCycle;
         }
       }
-      const forest::Task& ft = rt.forest->task(rt.id);
+      const forest::Task ft = rt.forest->task(rt.id);
       double outErr = (err[0] + err[1]) / 2.0;
       unsigned faultCycle = inheritedFault;
       double eps = 0.0;

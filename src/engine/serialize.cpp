@@ -32,7 +32,7 @@ Json toJson(const forest::TaskForest& forest,
            Json::number(std::uint64_t{schedule.completionTime}));
   Json tasks = Json::array();
   for (forest::TaskId id = 0; id < forest.taskCount(); ++id) {
-    const forest::Task& t = forest.task(id);
+    const forest::Task t = forest.task(id);
     Json task = Json::object();
     task.set("id", Json::number(std::uint64_t{id}))
         .set("label", Json::string(forest.taskLabel(id)))

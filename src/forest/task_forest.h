@@ -136,15 +136,17 @@ class TaskForest {
     return demandNodes_;
   }
 
-  [[nodiscard]] std::size_t taskCount() const { return tasks_.size(); }
-  [[nodiscard]] const Task& task(TaskId id) const { return tasks_[id]; }
-  [[nodiscard]] const std::vector<Task>& tasks() const { return tasks_; }
+  [[nodiscard]] std::size_t taskCount() const { return levels_.size(); }
+  /// Task `id` assembled from the per-task arrays below: a handful of loads
+  /// per call, for cold callers (oracles, executor, recovery, serialize,
+  /// toDot). Hot loops read the arrays directly.
+  [[nodiscard]] Task task(TaskId id) const;
 
-  // ---- structure-of-arrays views ----------------------------------------
-  // Hot-loop mirrors of the Task fields, built once at construction so the
-  // schedulers and storage counters sweep flat parallel arrays instead of
-  // chasing 48-byte structs. Indexing: per-task arrays by TaskId; per-droplet
-  // arrays by 2 * TaskId + slot.
+  // ---- structure-of-arrays layout ---------------------------------------
+  // The forest is stored only as flat parallel arrays, each written once by
+  // build(), so the schedulers and storage counters sweep them directly.
+  // Indexing: per-task arrays by TaskId; per-droplet arrays by
+  // 2 * TaskId + slot.
 
   /// Paper-figure level per task.
   [[nodiscard]] const std::vector<unsigned>& taskLevels() const {
@@ -173,6 +175,10 @@ class TaskForest {
   /// Number of consumed output droplets per task (0..2).
   [[nodiscard]] const std::vector<std::uint8_t>& consumedOutCounts() const {
     return consumedOuts_;
+  }
+  /// SRS operand class per task.
+  [[nodiscard]] const std::vector<OperandClass>& operandClasses() const {
+    return operandClass_;
   }
 
   /// Depth of the forest — component-tree roots sit at this level.
@@ -209,14 +215,17 @@ class TaskForest {
 
  private:
   void build();
-  void buildSoaViews();
 
   const mixgraph::MixingGraph* graph_;
   std::vector<std::uint64_t> demands_;          // per demand point
   std::vector<mixgraph::NodeId> demandNodes_;   // aligned with demands_
   std::vector<std::uint64_t> execs_;            // per base-graph node
-  std::vector<Task> tasks_;
-  // SoA mirrors of tasks_ (see the accessor block above).
+  std::vector<TaskId> firstTask_;               // per base-graph node
+  // Per-task and per-droplet arrays (see the accessor block above); a
+  // task's instance is its id minus firstTask_ of its node.
+  std::vector<mixgraph::NodeId> node_;
+  std::vector<std::uint32_t> tree_;
+  std::vector<OperandClass> operandClass_;
   std::vector<unsigned> levels_;
   std::vector<TaskId> depLeft_;
   std::vector<TaskId> depRight_;

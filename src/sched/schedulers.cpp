@@ -108,8 +108,9 @@ class SrsGreedyPolicy {
 
   void add(const std::vector<TaskId>& arrivals) {
     const std::vector<unsigned>& levels = forest_->taskLevels();
+    const std::vector<OperandClass>& classes = forest_->operandClasses();
     for (TaskId id : arrivals) {
-      if (forest_->task(id).operandClass == OperandClass::kTypeC) {
+      if (classes[id] == OperandClass::kTypeC) {
         qLeaf_.push(levels[id], id);  // lowest level first
       } else {
         qInt_.push(maxLevel_ - levels[id], id);  // highest first
@@ -230,10 +231,10 @@ Schedule scheduleJustInTime(const TaskForest& forest, unsigned mixers,
   // Priority: longest reverse chain first (Hu on the reversed DAG), breaking
   // ties in favour of Type-C nodes (defer them furthest in forward time),
   // then by task id. Class 2 * (longest - revColevel) + (Type-C ? 0 : 1).
+  const std::vector<OperandClass>& classes = forest.operandClasses();
   BucketPolicy policy(scratch.queues.ranked, 2 * std::size_t{longest}, n,
                       [&](TaskId id) {
-                        const bool typeC = forest.task(id).operandClass ==
-                                           OperandClass::kTypeC;
+                        const bool typeC = classes[id] == OperandClass::kTypeC;
                         return 2 * std::size_t{longest - revColevel[id]} +
                                (typeC ? 0 : 1);
                       });

@@ -76,9 +76,10 @@ TEST(MultiTargetForest, DemandsPerRootAreHonoured) {
   // Per-root target counts match the demands.
   std::vector<std::uint64_t> counted(2, 0);
   for (forest::TaskId id = 0; id < f.taskCount(); ++id) {
-    for (const auto& drop : f.task(id).out) {
+    const forest::Task task = f.task(id);
+    for (const auto& drop : task.out) {
       if (drop.fate != forest::DropletFate::kTarget) continue;
-      const auto node = f.task(id).node;
+      const auto node = task.node;
       counted[node == g.roots()[0] ? 0 : 1] += 1;
       EXPECT_TRUE(node == g.roots()[0] || node == g.roots()[1]);
     }
