@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
       corpus.size(), std::vector<std::vector<Cell>>(
                          demands.size(), std::vector<Cell>(4)));
 
-  runtime::parallelFor(jobs, corpus.size(), [&](std::uint64_t ri) {
+  runtime::parallelFor(jobs, corpus.size(), [&](std::uint64_t ri, unsigned) {
     engine::MdstEngine engine(corpus[ri]);
     engine::PassCache cache;
     const unsigned mixers = engine.defaultMixers();

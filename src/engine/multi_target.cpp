@@ -52,7 +52,7 @@ MultiTargetResult runMultiTarget(const std::vector<TargetDemand>& targets,
   // reduction below walks the slots in target order (deterministic for any
   // `jobs`).
   std::vector<MdstResult> perTarget(targets.size());
-  runtime::parallelFor(jobs, targets.size(), [&](std::uint64_t i) {
+  runtime::parallelFor(jobs, targets.size(), [&](std::uint64_t i, unsigned) {
     const TargetDemand& t = targets[i];
     const MdstEngine engine(t.ratio);
     MdstRequest request;

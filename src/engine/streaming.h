@@ -82,6 +82,14 @@ struct StreamingRequest {
                                           const StreamingRequest& request,
                                           PassCache& cache);
 
+/// As above, scheduling on a caller-owned scratch: a caller planning
+/// several streams in a row reuses one scratch for all of them. The plan
+/// is the same as with a fresh scratch.
+[[nodiscard]] StreamingPlan planStreaming(const MdstEngine& engine,
+                                          const StreamingRequest& request,
+                                          PassCache& cache,
+                                          sched::PlanScratch& scratch);
+
 /// Exhaustive refinement of planStreaming: the largest feasible D' does not
 /// always minimize the total cycle count (a slightly smaller forest can
 /// schedule disproportionately faster under a tight cap), so this variant
@@ -101,5 +109,12 @@ struct StreamingRequest {
 [[nodiscard]] StreamingPlan planStreamingOptimized(
     const MdstEngine& engine, const StreamingRequest& request,
     PassCache& cache);
+
+/// Shared-cache, caller-scratch overload of planStreamingOptimized: the
+/// caller's scratch serves the serial steps and the calling thread's share
+/// of the sweep; each sweep worker owns one for the call.
+[[nodiscard]] StreamingPlan planStreamingOptimized(
+    const MdstEngine& engine, const StreamingRequest& request,
+    PassCache& cache, sched::PlanScratch& scratch);
 
 }  // namespace dmf::engine

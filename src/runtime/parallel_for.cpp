@@ -18,12 +18,17 @@ unsigned resolveJobs(unsigned requested) noexcept {
   return hw == 0 ? 1 : hw;
 }
 
-void parallelFor(unsigned jobs, std::uint64_t count,
-                 const std::function<void(std::uint64_t)>& fn) {
-  const std::uint64_t participants =
-      std::min<std::uint64_t>(resolveJobs(jobs), count);
-  if (participants <= 1) {
-    for (std::uint64_t i = 0; i < count; ++i) fn(i);
+unsigned participantCount(unsigned jobs, std::uint64_t count) noexcept {
+  return static_cast<unsigned>(std::max<std::uint64_t>(
+      1, std::min<std::uint64_t>(resolveJobs(jobs), count)));
+}
+
+void parallelFor(
+    unsigned jobs, std::uint64_t count,
+    const std::function<void(std::uint64_t index, unsigned participant)>& fn) {
+  const unsigned participants = participantCount(jobs, count);
+  if (participants == 1) {
+    for (std::uint64_t i = 0; i < count; ++i) fn(i, 0);
     return;
   }
   obs::count("runtime.pool.batches");
@@ -38,7 +43,7 @@ void parallelFor(unsigned jobs, std::uint64_t count,
   // into the originating request's trace (zero ids when tracing is off or
   // the caller has no open span).
   const obs::SpanContext context = obs::currentContext();
-  const auto drain = [&] {
+  const auto drain = [&](unsigned participant) {
     // One span per participant: the "--jobs N" tasks in the trace.
     const obs::ContextGuard adopt(context);
     const obs::Span span("pool.worker", "pool");
@@ -46,7 +51,7 @@ void parallelFor(unsigned jobs, std::uint64_t count,
       const std::uint64_t index = next.fetch_add(1, std::memory_order_relaxed);
       if (index >= count) return;
       try {
-        fn(index);
+        fn(index, participant);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(errorMutex);
         if (index < errorIndex) {
@@ -63,10 +68,10 @@ void parallelFor(unsigned jobs, std::uint64_t count,
     // and are joined before the error leaves.
     std::vector<std::jthread> workers;
     workers.reserve(participants - 1);
-    for (std::uint64_t w = 1; w < participants; ++w) {
-      workers.emplace_back(drain);
+    for (unsigned w = 1; w < participants; ++w) {
+      workers.emplace_back(drain, w);
     }
-    drain();  // the calling thread works too
+    drain(0);  // the calling thread works too
   }
   if (error) std::rethrow_exception(error);
 }

@@ -15,14 +15,23 @@ namespace dmf::runtime {
 /// least 1).
 [[nodiscard]] unsigned resolveJobs(unsigned requested) noexcept;
 
-/// Runs fn(i) for every i in [0, count) and returns when all have finished.
-/// `jobs` (resolved by resolveJobs) counts the calling thread: one call
-/// starts min(jobs, count) - 1 threads, the caller works too, and all are
-/// joined before it returns, so at most one participant means a plain
-/// inline loop in index order. Exceptions thrown by fn are captured and the
-/// one raised at the lowest index is rethrown after every index has run, so
-/// error behaviour is deterministic too. Calls may nest.
-void parallelFor(unsigned jobs, std::uint64_t count,
-                 const std::function<void(std::uint64_t)>& fn);
+/// The number of participants parallelFor(jobs, count, fn) runs:
+/// min(resolveJobs(jobs), count), and at least 1.
+[[nodiscard]] unsigned participantCount(unsigned jobs,
+                                        std::uint64_t count) noexcept;
+
+/// Runs fn(i, participant) for every i in [0, count) and returns when all
+/// have finished. `jobs` (resolved by resolveJobs) counts the calling
+/// thread: one call starts participantCount(jobs, count) - 1 threads, the
+/// caller works too, and all are joined before it returns, so one
+/// participant means a plain inline loop in index order. `participant`
+/// names who runs the call, in [0, participantCount): 0 is the caller, and
+/// no two concurrent calls share a number, so fn may index per-participant
+/// state (a planning scratch) with it. Exceptions thrown by fn are captured
+/// and the one raised at the lowest index is rethrown after every index has
+/// run, so error behaviour is deterministic too. Calls may nest.
+void parallelFor(
+    unsigned jobs, std::uint64_t count,
+    const std::function<void(std::uint64_t index, unsigned participant)>& fn);
 
 }  // namespace dmf::runtime

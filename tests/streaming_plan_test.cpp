@@ -20,12 +20,15 @@
 #include <string>
 #include <vector>
 
+#include "dmf/errors.h"
 #include "engine/mdst.h"
 #include "engine/pass_cache.h"
+#include "engine/serialize.h"
 #include "engine/streaming.h"
 #include "runtime/parallel_for.h"
 #include "sched/plan_scratch.h"
 #include "sched/schedulers.h"
+#include "workload/random_ratios.h"
 
 namespace dmf::engine {
 namespace {
@@ -263,7 +266,7 @@ TEST(PassCacheAccounting, ConcurrentEvaluationIsConsistent) {
   MdstEngine engine = engineFor("2:1:1:1:1:1:9");
   PassCache cache;
   std::vector<unsigned> storage(64);
-  runtime::parallelFor(4, storage.size(), [&](std::uint64_t i) {
+  runtime::parallelFor(4, storage.size(), [&](std::uint64_t i, unsigned) {
     // Demands overlap heavily (i % 8), forcing hit and miss paths to race.
     storage[i] = cache
                      .evaluate(engine, Algorithm::MM, Scheme::kSRS, 3,
@@ -384,7 +387,7 @@ TEST(PassCacheAccounting, ConcurrentFitsIsConsistent) {
     return static_cast<unsigned>(1 + (i / 6) % 5);
   };
   std::vector<char> fits(90);
-  runtime::parallelFor(4, fits.size(), [&](std::uint64_t i) {
+  runtime::parallelFor(4, fits.size(), [&](std::uint64_t i, unsigned) {
     fits[i] = cache.fits(engine, Algorithm::MM, Scheme::kSRS, 3, demandOf(i),
                          capOf(i));
   });
@@ -533,6 +536,47 @@ TEST(PlanScratch, ReusedAcrossASweepMatchesFreshScratch) {
       }
     }
   }
+}
+
+TEST(PlanScratch, OneScratchAcrossTheCorpusMatchesFreshScratch) {
+  // A fleet dispatch plans stream after stream on one scratch per
+  // participant. Every ratio of the seeded corpus (one random ratio per sum
+  // 16/32/64 and 2..8 parts), largest demand first, both planners: each
+  // plan (or refusal) on the shared scratch must equal a fresh scratch's,
+  // byte for byte.
+  sched::PlanScratch scratch;
+  std::uint64_t compared = 0;
+  for (const std::uint64_t sum : {16u, 32u, 64u}) {
+    for (std::size_t parts = 2; parts <= 8; ++parts) {
+      workload::RandomRatioGenerator gen(sum, parts, sum * 16 + parts);
+      const MdstEngine engine(gen.next());
+      for (const std::uint64_t demand : {96u, 40u, 17u, 2u}) {
+        for (const bool optimize : {false, true}) {
+          const StreamingRequest r = request(demand, 4, 0);
+          const auto plan = [&](sched::PlanScratch* shared) {
+            PassCache cache;
+            try {
+              const StreamingPlan p =
+                  shared == nullptr
+                      ? (optimize ? planStreamingOptimized(engine, r, cache)
+                                  : planStreaming(engine, r, cache))
+                      : (optimize ? planStreamingOptimized(engine, r, cache,
+                                                           *shared)
+                                  : planStreaming(engine, r, cache, *shared));
+              return toJson(p).dump();
+            } catch (const InfeasibleError& e) {
+              return std::string("infeasible: ") + e.what();
+            }
+          };
+          EXPECT_EQ(plan(&scratch), plan(nullptr))
+              << engine.ratio().toString() << " D=" << demand
+              << (optimize ? " optimized" : "");
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 21u * 4u * 2u);
 }
 
 }  // namespace

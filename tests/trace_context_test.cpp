@@ -140,7 +140,7 @@ TEST(TraceContextTest, PoolWorkersSpliceIntoTheDispatchingTrace) {
   {
     const Scope scope(session);
     const Span request("request", "test");
-    runtime::parallelFor(4, kTasks, [](std::uint64_t i) {
+    runtime::parallelFor(4, kTasks, [](std::uint64_t i, unsigned) {
       Span task("task", "test");
       task.arg("index", std::to_string(i));
       { const Span inner("task.inner", "test"); }
@@ -223,7 +223,7 @@ TEST(TraceContextTest, SpanTreeShapeIsIdenticalAcrossJobCounts) {
     {
       const Scope scope(session);
       const Span request("request", "test");
-      runtime::parallelFor(jobs, 16, [](std::uint64_t) {
+      runtime::parallelFor(jobs, 16, [](std::uint64_t, unsigned) {
         const Span task("task", "test");
         const Span inner("task.inner", "test");
       });
