@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "chip/executor.h"
@@ -248,6 +249,37 @@ TEST(Placer, DeterministicForSeed) {
   for (ModuleId id = 0; id < a.moduleCount(); ++id) {
     EXPECT_EQ(a.module(id).origin, b.module(id).origin);
   }
+}
+
+// Byte-identity golden for the annealer: FNV-1a over the module origins
+// annealPlacement returns on the Fig. 5 PCR layout under the D=20 SRS flow,
+// at the CLI's default iteration count and at bench_fig5_layout's 30000.
+// Any change to the RNG draws, the temperature schedule or the acceptance
+// rule moves a hash.
+TEST(Placer, PcrOriginsHashPinned) {
+  const Layout layout = makePcrLayout();
+  Router router(layout);
+  ChipExecutor executor(layout, router);
+  MixingGraph g = buildMM(pcr());
+  TaskForest f(g, 20);
+  const ExecutionTrace trace = executor.run(f, sched::scheduleSRS(f, 3));
+  const FlowMatrix flow = flowFromTrace(trace, layout.moduleCount());
+  auto originHash = [](const Layout& annealed) {
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (ModuleId id = 0; id < annealed.moduleCount(); ++id) {
+      const Cell origin = annealed.module(id).origin;
+      for (const int v : {origin.x, origin.y}) {
+        hash ^= static_cast<std::uint64_t>(v);
+        hash *= 0x100000001b3ull;
+      }
+    }
+    return hash;
+  };
+  EXPECT_EQ(originHash(annealPlacement(layout, flow)), 0xefe4458ae5a8f18dull);
+  AnnealOptions options;
+  options.iterations = 30000;
+  EXPECT_EQ(originHash(annealPlacement(layout, flow, options)),
+            0xdfb22cddbcbee28eull);
 }
 
 TEST(Placer, FlowFromTraceIsSymmetric) {

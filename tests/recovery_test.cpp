@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "chip/pcr_layout.h"
 #include "engine/serialize.h"
@@ -287,6 +289,56 @@ TEST(Recovery, DetectionLatencyLetsSomeErrorsEscapeOrPropagate) {
   checkInvariants(blunt);
   EXPECT_GE(blunt.escapedErrors + blunt.shortfall,
             sharp.escapedErrors + sharp.shortfall);
+}
+
+// Byte-identity golden for recovery: FNV-1a over the JSON and the rendered
+// text of RecoveryEngine::run reports across seeded fault specs, with and
+// without a layout, capped and uncapped, and under tight retry budgets.
+// Any change to the draw order, the CF threshold, the cycle limit or the
+// repair splicing moves the hash.
+TEST(Recovery, SeededReportsHashPinned) {
+  const MixingGraph g = buildMM(pcr());
+  const TaskForest f(g, 16);
+  const sched::Schedule s = sched::scheduleSRS(f, 3);
+  const chip::Layout layout = chip::makePcrLayout();
+  struct Case {
+    const char* spec;
+    unsigned retryBudget;
+    unsigned storageCap;
+    bool withLayout;
+  };
+  const Case cases[] = {
+      {"split=0.3,eps=0.2,loss=0.1", 4, 0, false},
+      {"split=0.4,eps=0.9", 1, 0, false},
+      {"loss=0.4", 0, 0, false},
+      {"loss=0.3,dispense=0.1", 2, 5, false},
+      {"electrode=0.3", 4, 0, false},
+      {"electrode=0.5,loss=0.1", 1, 0, false},
+      {"electrode=0.5", 4, 0, true},
+      {"split=0.2,loss=0.2,dispense=0.05,electrode=0.1", 1, 4, true},
+  };
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  std::size_t degraded = 0;
+  for (const Case& c : cases) {
+    for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
+      RecoveryOptions opts;
+      opts.faults = fault::FaultSpec::parse(c.spec);
+      opts.seed = seed;
+      opts.retryBudget = c.retryBudget;
+      opts.storageCap = c.storageCap;
+      if (c.withLayout) opts.layout = &layout;
+      const RecoveryReport r = RecoveryEngine{opts}.run(f, s);
+      checkInvariants(r);
+      if (r.degraded) ++degraded;
+      for (const std::string& bytes : {toJson(r).dump(), renderReport(r)}) {
+        for (const char ch : bytes) {
+          hash = (hash ^ static_cast<unsigned char>(ch)) * 0x100000001b3ull;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(degraded, 17u);
+  EXPECT_EQ(hash, 0xe909ecb14c7892c8ull);
 }
 
 TEST(Recovery, RejectsInvalidOptionsAndInputs) {
