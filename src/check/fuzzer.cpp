@@ -367,7 +367,6 @@ CheckResult Fuzzer::runCase(const FuzzCase& c) const {
         ga.seed = c.faultSeed;
         ga.population = 8;
         ga.generations = 6;
-        ga.elites = 1;
         checkScheduledForest(forest, sched::scheduleGA(forest, mixers, ga), 0,
                              out);
       }

@@ -1,6 +1,7 @@
 #include "chip/placer.h"
 
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <stdexcept>
 
@@ -33,6 +34,13 @@ double placementCost(const Layout& layout, const FlowMatrix& flow) {
 }
 
 namespace {
+
+// Seed of the annealer's generator.
+constexpr std::uint64_t kSeed = 1;
+// Initial temperature as a fraction of the initial cost.
+constexpr double kInitialTemperature = 0.2;
+// Geometric cooling factor applied every `iterations / 100` steps.
+constexpr double kCooling = 0.95;
 
 // Rebuilds a Layout from module descriptors (positions already legal).
 Layout materialize(int width, int height, const std::vector<Module>& modules) {
@@ -85,9 +93,8 @@ Layout annealPlacement(const Layout& initial, const FlowMatrix& flow,
   double currentCost = placementCost(initial, flow);
   double bestCost = currentCost;
 
-  std::mt19937_64 rng(options.seed);
-  double temperature =
-      std::max(1.0, currentCost * options.initialTemperature);
+  std::mt19937_64 rng(kSeed);
+  double temperature = std::max(1.0, currentCost * kInitialTemperature);
   const unsigned coolEvery = std::max(1u, options.iterations / 100);
   std::uniform_real_distribution<double> uniform(0.0, 1.0);
 
@@ -116,7 +123,7 @@ Layout annealPlacement(const Layout& initial, const FlowMatrix& flow,
       current[pick] = saved;
     }
     if ((iter + 1) % coolEvery == 0) {
-      temperature = std::max(1e-3, temperature * options.cooling);
+      temperature = std::max(1e-3, temperature * kCooling);
     }
   }
   Layout result = materialize(initial.width(), initial.height(), best);

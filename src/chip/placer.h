@@ -3,7 +3,6 @@
 // allocation of the paper's reference [21] (used to produce Fig. 5).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "chip/executor.h"
@@ -22,19 +21,16 @@ using FlowMatrix = std::vector<std::vector<double>>;
 
 /// Configuration of the annealer.
 struct AnnealOptions {
-  std::uint64_t seed = 1;
   /// Proposed relocations.
   unsigned iterations = 20000;
-  /// Initial temperature as a fraction of the initial cost.
-  double initialTemperature = 0.2;
-  /// Geometric cooling factor applied every `iterations / 100` steps.
-  double cooling = 0.95;
 };
 
 /// Deterministic simulated annealing over module origins. The objective is
 /// sum(flow[a][b] * manhattan(port_a, port_b)); legality (in-array,
-/// non-overlap) is preserved by construction. Returns the best layout found
-/// (never worse than the input under the objective).
+/// non-overlap) is preserved by construction. The walk is seeded with 1,
+/// starts at a temperature of 0.2 x the initial cost and cools by 0.95
+/// every `iterations / 100` steps. Returns the best layout found (never
+/// worse than the input under the objective).
 [[nodiscard]] Layout annealPlacement(const Layout& initial,
                                      const FlowMatrix& flow,
                                      const AnnealOptions& options = {});

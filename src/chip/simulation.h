@@ -31,8 +31,7 @@ struct SimulationResult {
 
 /// Routes every move of `trace` concurrently, one phase per cycle.
 /// Throws chip::ChipError (a std::runtime_error carrying phase "simulate"
-/// and the failing mix cycle) when some phase is unroutable under the
-/// options — including when options.deadCells sever a required path.
+/// and the failing mix cycle) when some phase is unroutable.
 [[nodiscard]] SimulationResult simulateTrace(const Layout& layout,
                                              const ExecutionTrace& trace,
                                              TimedRouterOptions options = {});

@@ -13,6 +13,12 @@ namespace dmf::chip {
 
 namespace {
 
+// Hard limit on steps per phase (A* horizon). A phase that cannot finish
+// within the horizon fails.
+constexpr unsigned kHorizon = 128;
+// Number of priority rotations to try before giving up.
+constexpr unsigned kRetries = 8;
+
 int chebyshev(const Cell& a, const Cell& b) {
   const int dx = a.x > b.x ? a.x - b.x : b.x - a.x;
   const int dy = a.y > b.y ? a.y - b.y : b.y - a.y;
@@ -65,11 +71,10 @@ PhaseResult TimedRouter::routePhase(std::vector<PhaseMove> moves) const {
                      return manhattan(a.from, a.to) > manhattan(b.from, b.to);
                    });
 
-  const unsigned horizon = options_.horizon;
   const auto w = static_cast<unsigned>(layout.width());
   const auto h = static_cast<unsigned>(layout.height());
   const std::size_t cells = static_cast<std::size_t>(w) * h;
-  const std::size_t states = cells * (horizon + 1);
+  const std::size_t states = cells * (kHorizon + 1);
 
   // Phase-wide scratch, allocated once and reused by every move and retry.
   //
@@ -89,36 +94,15 @@ PhaseResult TimedRouter::routePhase(std::vector<PhaseMove> moves) const {
     return static_cast<std::size_t>(c.y) * w + static_cast<std::size_t>(c.x);
   };
 
-  // Dead electrodes are hard obstacles for every droplet, including module
-  // interiors (a dead mixer cell stops droplets crossing that footprint).
-  std::vector<std::uint8_t> deadGrid(cells, 0);
-  for (const Cell& c : options_.deadCells) {
-    if (c.x < 0 || c.y < 0 || c.x >= layout.width() ||
-        c.y >= layout.height()) {
-      continue;
-    }
-    deadGrid[cellIndex(c)] = 1;
-  }
-  for (const PhaseMove& m : moves) {
-    for (const Cell& c : {m.from, m.to}) {
-      if (deadGrid[cellIndex(c)] != 0) {
-        throw ChipError("route", 0,
-                        "endpoint (" + std::to_string(c.x) + "," +
-                            std::to_string(c.y) + ") sits on a dead electrode",
-                        m.tag);
-      }
-    }
-  }
-
   // Per-step occupancy index over the committed trajectories: a droplet on
   // open cell `c` at step `s` sets occupied[s][c]. conflicts() then probes
   // the 3x3 neighbourhood at steps s-1/s/s+1 — O(1) per node expansion
   // instead of a scan over every committed trajectory. Steps run to
   // horizon+1 because the dynamic constraint looks one step past the last
   // expandable step.
-  std::vector<std::uint8_t> occupied(cells * (horizon + 2), 0);
+  std::vector<std::uint8_t> occupied(cells * (kHorizon + 2), 0);
   auto commitOccupancy = [&](const Trajectory& traj) {
-    for (unsigned s = 0; s <= horizon + 1; ++s) {
+    for (unsigned s = 0; s <= kHorizon + 1; ++s) {
       const Cell& oc = positionAt(traj, s);
       if (moduleGrid[cellIndex(oc)] != 0) continue;
       occupied[s * cells + cellIndex(oc)] = 1;
@@ -157,7 +141,7 @@ PhaseResult TimedRouter::routePhase(std::vector<PhaseMove> moves) const {
   std::vector<Entry> open;
 
   std::string lastError = "no moves";
-  for (unsigned attempt = 0; attempt <= options_.retries; ++attempt) {
+  for (unsigned attempt = 0; attempt <= kRetries; ++attempt) {
     std::vector<Trajectory> done;
     done.reserve(moves.size());
     if (attempt > 0) {
@@ -176,7 +160,6 @@ PhaseResult TimedRouter::routePhase(std::vector<PhaseMove> moves) const {
                 c.y >= layout.height()) {
               return false;
             }
-            if (deadGrid[cellIndex(c)] != 0) return false;
             const std::uint32_t occupant = moduleGrid[cellIndex(c)];
             return occupant == 0 || occupant == fromModule ||
                    occupant == toModule;
@@ -207,7 +190,7 @@ PhaseResult TimedRouter::routePhase(std::vector<PhaseMove> moves) const {
               goalState = state;
               break;
             }
-            if (step == horizon) continue;
+            if (step == kHorizon) continue;
             const Cell next[5] = {{c.x, c.y},     {c.x + 1, c.y},
                                   {c.x - 1, c.y}, {c.x, c.y + 1},
                                   {c.x, c.y - 1}};
@@ -225,7 +208,7 @@ PhaseResult TimedRouter::routePhase(std::vector<PhaseMove> moves) const {
             }
           }
           if (goalState == states) {
-            throw ChipError("route", horizon,
+            throw ChipError("route", kHorizon,
                             "droplet from (" + std::to_string(move.from.x) +
                                 "," + std::to_string(move.from.y) +
                                 ") found no interference-free path",
@@ -286,7 +269,7 @@ PhaseResult TimedRouter::routePhase(std::vector<PhaseMove> moves) const {
   }
   throw ChipError("route", ChipError::kNoStep,
                   "phase unroutable after " +
-                      std::to_string(options_.retries + 1) + " attempts (" +
+                      std::to_string(kRetries + 1) + " attempts (" +
                       lastError + ")");
 }
 

@@ -51,22 +51,12 @@ struct PhaseResult {
 
 /// Options for the timed router.
 struct TimedRouterOptions {
-  /// Hard limit on steps per phase (A* horizon). A phase that cannot finish
-  /// within the horizon fails.
-  unsigned horizon = 128;
-  /// Number of priority rotations to try before giving up.
-  unsigned retries = 8;
   /// Re-verify every routed phase with the O(n²·makespan) checkInterference
   /// sweep before returning it. The router's per-step occupancy index already
   /// enforces both fluidic constraints during the search, so the sweep is a
   /// belt-and-braces audit: leave it on in tests and debugging, switch it off
   /// on benchmark/throughput paths.
   bool verifyInterference = true;
-  /// Dead (degraded) electrodes: cells no droplet may enter — the fault
-  /// model's permanent electrode failures. Droplets route around them;
-  /// a phase whose endpoint sits on a dead cell is unroutable. Out-of-array
-  /// entries are ignored.
-  std::vector<Cell> deadCells;
 };
 
 /// Routes sets of simultaneous droplet moves under fluidic constraints.
@@ -75,11 +65,11 @@ class TimedRouter {
   explicit TimedRouter(const Layout& layout, TimedRouterOptions options = {});
 
   /// Routes one phase. Module cells are obstacles except each droplet's own
-  /// endpoint modules; dead cells (options.deadCells) are obstacles for
-  /// everyone. Throws std::invalid_argument for out-of-array endpoints and
-  /// chip::ChipError (a std::runtime_error carrying the failing step and
-  /// droplet tag) when no interference-free routing is found within the
-  /// options' horizon/retries.
+  /// endpoint modules. Throws std::invalid_argument for out-of-array
+  /// endpoints and chip::ChipError (a std::runtime_error carrying the
+  /// failing step and droplet tag) when no interference-free routing is
+  /// found within 128 steps (the A* horizon) in any of 9 priority orders
+  /// (the longest-first order and 8 rotations of it).
   [[nodiscard]] PhaseResult routePhase(std::vector<PhaseMove> moves) const;
 
   /// Verifies that a set of trajectories obeys both fluidic constraints and

@@ -28,16 +28,8 @@ BaselineResult fromBasePass(const StreamingPass& pass, std::uint64_t demand,
 BaselineResult runRepeatedBaseline(const MdstEngine& engine,
                                    mixgraph::Algorithm algorithm,
                                    std::uint64_t demand, unsigned mixers) {
-  if (demand == 0) {
-    throw std::invalid_argument("runRepeatedBaseline: demand must be positive");
-  }
-  const unsigned mc = mixers == 0 ? engine.defaultMixers() : mixers;
-
-  // One pass: the base graph at demand 2 (its natural two-droplet emission),
-  // optimally scheduled. Every later pass is identical.
-  const StreamingPass pass =
-      *evaluatePass(engine, algorithm, Scheme::kOMS, mc, 2);
-  return fromBasePass(pass, demand, mc);
+  PassCache cache;
+  return runRepeatedBaseline(engine, algorithm, demand, mixers, cache);
 }
 
 BaselineResult runRepeatedBaseline(const MdstEngine& engine,
@@ -48,6 +40,8 @@ BaselineResult runRepeatedBaseline(const MdstEngine& engine,
     throw std::invalid_argument("runRepeatedBaseline: demand must be positive");
   }
   const unsigned mc = mixers == 0 ? engine.defaultMixers() : mixers;
+  // One pass: the base graph at demand 2 (its natural two-droplet emission),
+  // optimally scheduled. Every later pass is identical.
   const StreamingPass pass =
       cache.evaluate(engine, algorithm, Scheme::kOMS, mc, 2);
   return fromBasePass(pass, demand, mc);

@@ -5,13 +5,11 @@
 #include <stdexcept>
 
 #include "obs/scope.h"
-#include "runtime/parallel_for.h"
 
 namespace dmf::engine {
 
 MultiTargetResult runMultiTarget(const std::vector<TargetDemand>& targets,
-                                 Scheme scheme, unsigned mixers,
-                                 unsigned jobs) {
+                                 Scheme scheme, unsigned mixers) {
   if (targets.empty()) {
     throw std::invalid_argument("runMultiTarget: no targets");
   }
@@ -47,22 +45,15 @@ MultiTargetResult runMultiTarget(const std::vector<TargetDemand>& targets,
   result.mixers = mc;
 
   // Separate baseline: each target gets its own engine run on the same
-  // mixer bank; runs execute back to back. The runs are independent, so
-  // they fan out over `jobs` threads; each writes its own slot and the
-  // reduction below walks the slots in target order (deterministic for any
-  // `jobs`).
-  std::vector<MdstResult> perTarget(targets.size());
-  runtime::parallelFor(jobs, targets.size(), [&](std::uint64_t i, unsigned) {
-    const TargetDemand& t = targets[i];
+  // mixer bank; runs execute back to back.
+  for (const TargetDemand& t : targets) {
     const MdstEngine engine(t.ratio);
     MdstRequest request;
     request.algorithm = mixgraph::Algorithm::MTCS;  // same sharing per target
     request.scheme = scheme;
     request.mixers = mc;
     request.demand = t.demand;
-    perTarget[i] = engine.run(request);
-  });
-  for (const MdstResult& r : perTarget) {
+    const MdstResult r = engine.run(request);
     result.separateCompletionTime += r.completionTime;
     result.separateStorageUnits =
         std::max(result.separateStorageUnits, r.storageUnits);

@@ -37,13 +37,10 @@ struct MultiTargetResult {
 /// Runs the shared multi-target forest and the separate baseline. All
 /// targets must share fluid space and accuracy (buildMultiTarget's rules).
 /// `mixers == 0` resolves to the minimum mixer count that lets the shared
-/// two-droplet pass finish at its critical path. The per-target separate
-/// baseline fans out over `jobs` workers (1 = serial, 0 = one per core);
-/// the reduction runs in target order, so results are identical for every
-/// job count. Throws std::invalid_argument on an empty target list or zero
-/// demands.
+/// two-droplet pass finish at its critical path. Throws
+/// std::invalid_argument on an empty target list or zero demands.
 [[nodiscard]] MultiTargetResult runMultiTarget(
     const std::vector<TargetDemand>& targets, Scheme scheme = Scheme::kSRS,
-    unsigned mixers = 0, unsigned jobs = 1);
+    unsigned mixers = 0);
 
 }  // namespace dmf::engine

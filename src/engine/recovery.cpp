@@ -189,9 +189,9 @@ RecoveryReport RecoveryEngine::run(const forest::TaskForest& forest,
 
   const mixgraph::MixingGraph& graph = forest.graph();
   const std::vector<double> spread = cfSpread(graph);
-  const double threshold = options_.cfThreshold > 0.0
-                               ? options_.cfThreshold
-                               : analysis::quantizationError(graph);
+  // A sensed droplet whose CF deviates by more than the graph's
+  // quantization error 1/2^(d+1) is flagged as erroneous.
+  const double threshold = analysis::quantizationError(graph);
   fault::FaultInjector injector(options_.faults, options_.seed);
   const bool faulty = options_.faults.any();
 
@@ -208,10 +208,10 @@ RecoveryReport RecoveryEngine::run(const forest::TaskForest& forest,
   unsigned effectiveMixers = schedule.mixerCount;
   unsigned backoffMul = 1;
   bool budgetStopped = false;  // no further repair rounds will be spliced
+  // Hard cycle limit: every repair round gets the base schedule's span
+  // four times over, plus slack.
   const unsigned maxCycles =
-      options_.maxCycles > 0
-          ? options_.maxCycles
-          : (4 * schedule.completionTime + 256) * (options_.retryBudget + 1);
+      (4 * schedule.completionTime + 256) * (options_.retryBudget + 1);
 
   auto degrade = [&](const std::string& reason) {
     report.degraded = true;

@@ -46,9 +46,6 @@ struct RecoveryOptions {
   fault::CheckpointOptions checkpoint;
   /// Repair rounds allowed before remaining errors become shortfall.
   unsigned retryBudget = 4;
-  /// CF deviation above which a sensed droplet is flagged as erroneous;
-  /// <= 0 selects the graph's quantization error 1/2^(d+1).
-  double cfThreshold = 0.0;
   /// Storage budget for repair scheduling (scheduleStorageCapped);
   /// 0 = uncapped (scheduleSRS).
   unsigned storageCap = 0;
@@ -59,8 +56,6 @@ struct RecoveryOptions {
   /// mixers shrink the mixer bank, dead storage shrinks the cap) and
   /// actuation accounting of repair rounds. May be nullptr.
   const chip::Layout* layout = nullptr;
-  /// Hard cycle limit; 0 picks (4 * baseCompletion + 256) * (budget + 1).
-  unsigned maxCycles = 0;
 };
 
 /// One spliced repair round.

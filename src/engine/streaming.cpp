@@ -111,7 +111,6 @@ std::uint64_t largestFeasiblePerPass(PlanContext& ctx,
                                      std::uint64_t minPass,
                                      std::uint64_t demand) {
   if (ctx.feasible(demand)) return demand;  // single pass serves everything
-  if (minPass >= demand) return minPass;
 
   // Bisection assuming storage grows with demand.
   std::uint64_t lo = minPass;

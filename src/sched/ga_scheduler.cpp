@@ -20,6 +20,13 @@ using forest::TaskId;
 
 namespace {
 
+// Tournament size for parent selection.
+constexpr unsigned kTournament = 3;
+// Individuals copied unchanged into the next generation.
+constexpr unsigned kElites = 2;
+// Per-gene probability of mutation (key resampled).
+constexpr double kMutationRate = 0.05;
+
 // Lexicographic fitness: completion time, then storage. Smaller is better.
 using Score = std::pair<unsigned, unsigned>;
 
@@ -130,8 +137,7 @@ Schedule scheduleGA(const TaskForest& forest, unsigned mixers,
   if (mixers == 0) {
     throw std::invalid_argument("scheduleGA: at least one mixer required");
   }
-  if (options.population == 0 || options.elites >= options.population ||
-      options.tournament == 0) {
+  if (options.population <= kElites) {
     throw std::invalid_argument("scheduleGA: degenerate GA options");
   }
   const std::size_t n = forest.taskCount();
@@ -182,10 +188,10 @@ Schedule scheduleGA(const TaskForest& forest, unsigned mixers,
   for (unsigned gen = 0; gen < options.generations; ++gen) {
     std::sort(population.begin(), population.end(), better);
     std::vector<Individual> next(population.begin(),
-                                 population.begin() + options.elites);
+                                 population.begin() + kElites);
     auto tournamentPick = [&]() -> const Individual& {
       std::size_t best = pickParent(rng);
-      for (unsigned t = 1; t < options.tournament; ++t) {
+      for (unsigned t = 1; t < kTournament; ++t) {
         const std::size_t challenger = pickParent(rng);
         if (population[challenger].score < population[best].score) {
           best = challenger;
@@ -199,13 +205,13 @@ Schedule scheduleGA(const TaskForest& forest, unsigned mixers,
       std::vector<double> child(n);
       for (std::size_t g = 0; g < n; ++g) {
         child[g] = (rng() & 1u) ? a.keys[g] : b.keys[g];
-        if (uniform(rng) < options.mutationRate) {
+        if (uniform(rng) < kMutationRate) {
           child[g] = uniform(rng);
         }
       }
       next.push_back({std::move(child), Score{}});
     }
-    evaluator.scoreTail(next, options.elites);
+    evaluator.scoreTail(next, kElites);
     population = std::move(next);
   }
 

@@ -22,23 +22,19 @@
 namespace dmf::sched {
 
 /// GA tuning knobs. Defaults converge on forest sizes up to a few hundred
-/// tasks in well under a second.
+/// tasks in well under a second. Parents are picked by 3-way tournament,
+/// the best two individuals carry over unchanged (elitism), and each child
+/// gene is resampled with probability 0.05.
 struct GaOptions {
   std::uint64_t seed = 1;
   unsigned population = 32;
   unsigned generations = 60;
-  /// Tournament size for parent selection.
-  unsigned tournament = 3;
-  /// Individuals copied unchanged into the next generation.
-  unsigned elites = 2;
-  /// Per-gene probability of mutation (key resampled).
-  double mutationRate = 0.05;
 };
 
 /// Runs the GA and returns the best schedule found (never worse than the
 /// plain critical-path seed individual). Deterministic for a fixed seed.
-/// Throws std::invalid_argument if mixers == 0 or options are degenerate
-/// (empty population, elites >= population).
+/// Throws std::invalid_argument if mixers == 0 or the population does not
+/// exceed the two elites.
 [[nodiscard]] Schedule scheduleGA(const forest::TaskForest& forest,
                                   unsigned mixers,
                                   const GaOptions& options = {});

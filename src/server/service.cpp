@@ -4,7 +4,6 @@
 #include <chrono>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "dmf/errors.h"
@@ -76,8 +75,7 @@ void AdmissionGate::grantLocked() {
 // PlanService
 
 PlanService::PlanService(const ServiceOptions& options)
-    : options_(options),
-      gate_(options),
+    : gate_(options),
       cache_(PlanCache::Options{options.cacheSize, options.cacheDir}),
       journal_(options.journalDir.empty()
                    ? nullptr
@@ -322,10 +320,6 @@ std::string PlanService::handlePlan(const Json& request,
 PlanService::Outcome PlanService::compute(const CanonicalRequest& request) {
   planned_.fetch_add(1, std::memory_order_relaxed);
   obs::count("server.planned");
-  if (options_.computeDelayNanosForTest > 0) {
-    std::this_thread::sleep_for(
-        std::chrono::nanoseconds(options_.computeDelayNanosForTest));
-  }
   Outcome outcome;
   try {
     const engine::MdstEngine engine(request.ratio);

@@ -52,9 +52,6 @@ struct ServiceOptions {
   /// permits. Each computation is serial inside, so responses are
   /// byte-identical for every value.
   unsigned jobs = 1;
-  /// Test-only: stretch every cold computation by this many nanoseconds to
-  /// make coalescing windows deterministic. 0 in production.
-  std::uint64_t computeDelayNanosForTest = 0;
   /// Admission arbitration (DESIGN.md §17): leaders waiting for a permit
   /// are granted in the order of this fleet::makePolicy name, "fifo"
   /// (global arrival order) | "rr" | "wfq".
@@ -160,6 +157,11 @@ class PlanService {
   void logShutdown() const;
 
   [[nodiscard]] const PlanCache& cache() const { return cache_; }
+  /// The gate cold leaders take their compute permits from. A caller may
+  /// hold permits through the ordinary acquire(): leaders then wait in
+  /// policy order (after registering as in flight, so identical requests
+  /// coalesce onto them) until the permits come back.
+  [[nodiscard]] AdmissionGate& gate() { return gate_; }
   /// Requests handled (every line, including errors and control ops).
   [[nodiscard]] std::uint64_t requests() const {
     return requests_.load(std::memory_order_relaxed);
@@ -208,7 +210,6 @@ class PlanService {
                                                    const std::string& key,
                                                    const Outcome& outcome);
 
-  ServiceOptions options_;
   /// Built first: it validates the arbitration options before the cache
   /// and WAL directories are touched.
   AdmissionGate gate_;

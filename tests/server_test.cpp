@@ -20,7 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <mutex>
+#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -94,6 +94,77 @@ bool eventually(Pred done) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return true;
+}
+
+/// Span identity parsed back out of a recorded trace.
+struct ParsedSpan {
+  std::string name;
+  double startMicros = 0.0;
+  std::uint64_t traceId = 0;
+  std::uint64_t spanId = 0;
+  std::uint64_t parentSpanId = 0;
+  std::uint64_t leaderTrace = 0;
+  std::uint64_t leaderSpan = 0;
+  /// The "slot" argument a test attached to its own client span.
+  std::string slot;
+};
+
+std::vector<ParsedSpan> parseSpans(const obs::TraceRecorder& recorder) {
+  const report::Json trace = report::Json::parse(recorder.toJson().dump(2));
+  std::vector<ParsedSpan> spans;
+  const report::Json& events = trace.at("traceEvents");
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const report::Json& e = events.at(i);
+    if (e.at("ph").asString() != "X" || !e.contains("args")) continue;
+    const report::Json& args = e.at("args");
+    if (!args.contains("span_id")) continue;
+    ParsedSpan span;
+    span.name = e.at("name").asString();
+    span.startMicros = e.at("ts").asDouble();
+    span.traceId = args.at("trace_id").asUint();
+    span.spanId = args.at("span_id").asUint();
+    if (args.contains("parent_span_id")) {
+      span.parentSpanId = args.at("parent_span_id").asUint();
+    }
+    if (args.contains("leader_trace")) {
+      span.leaderTrace =
+          std::stoull(args.at("leader_trace").asString());
+      span.leaderSpan = std::stoull(args.at("leader_span").asString());
+    }
+    if (args.contains("slot")) span.slot = args.at("slot").asString();
+    spans.push_back(span);
+  }
+  return spans;
+}
+
+/// Holds `count` of a service's admission permits until release() or
+/// destruction. Each is taken through the ordinary acquire(), so the
+/// arbitration policy counts the holder as one more work item (of `user`,
+/// costing `cost`). While every permit is held, a cold leader registers as
+/// in flight and then waits in the gate, so identical arrivals coalesce
+/// onto it and distinct ones queue: the tests below order arrivals by
+/// waiting on the service's own counters, not on a stretched computation.
+class HeldPermits {
+ public:
+  HeldPermits(AdmissionGate& gate, unsigned count, unsigned user = 0,
+              std::uint64_t cost = 1) {
+    for (unsigned i = 0; i < count; ++i) {
+      // A Permit neither copies nor moves; new-initializing it from the
+      // returned prvalue constructs it in place.
+      permits_.emplace_back(
+          new AdmissionGate::Permit(gate.acquire(user, cost)));
+    }
+  }
+  void release() { permits_.clear(); }
+
+ private:
+  std::vector<std::unique_ptr<AdmissionGate::Permit>> permits_;
+};
+
+/// The admission gate's high-water waiter count. While a HeldPermits holds
+/// every permit nothing is granted, so it is the number of leaders waiting.
+std::uint64_t queueDepth(obs::Session& session) {
+  return session.metrics.gauge("server.queue.depth").value();
 }
 
 // --------------------------------------------------------------------------
@@ -352,14 +423,16 @@ TEST(ServerService, CoalescesConcurrentIdenticalRequests) {
   obs::Scope scope(session);
   ServiceOptions options;
   options.jobs = 4;
-  // Stretch the computation so every thread arrives inside the in-flight
-  // window of the first.
-  options.computeDelayNanosForTest = 50'000'000;  // 50 ms
   PlanService service(options);
   const std::string line = planLine("2:1:1:1:1:1:9", 16, 3);
   constexpr int kClients = 8;
   std::vector<std::string> responses(kClients);
+  bool allCoalesced = false;
+  std::uint64_t plannedWhileHeld = 0;
   {
+    // The first arrival leads and waits for a permit; every other client
+    // coalesces onto it before any computation starts.
+    HeldPermits held(service.gate(), options.jobs);
     std::vector<std::thread> clients;
     clients.reserve(kClients);
     for (int i = 0; i < kClients; ++i) {
@@ -368,14 +441,18 @@ TEST(ServerService, CoalescesConcurrentIdenticalRequests) {
             responses[static_cast<std::size_t>(i)] = service.handle(line);
           });
     }
+    allCoalesced =
+        eventually([&] { return service.coalesced() == kClients - 1; });
+    plannedWhileHeld = service.planned();
+    held.release();
     for (std::thread& t : clients) t.join();
   }
-  // Exactly one computation ran; every other client either coalesced onto
-  // it or (having arrived after publication) hit the cache.
+  // Exactly one computation ran, and every other client coalesced onto it.
+  EXPECT_TRUE(allCoalesced);
+  EXPECT_EQ(plannedWhileHeld, 0u);
   EXPECT_EQ(service.planned(), 1u);
-  EXPECT_EQ(service.coalesced() + service.cache().stats().hits,
-            static_cast<std::uint64_t>(kClients - 1));
-  EXPECT_GE(service.coalesced(), 1u);
+  EXPECT_EQ(service.coalesced(), static_cast<std::uint64_t>(kClients - 1));
+  EXPECT_EQ(service.cache().stats().hits, 0u);
   EXPECT_EQ(session.metrics.counter("server.coalesce").value(),
             service.coalesced());
   for (const std::string& response : responses) {
@@ -419,29 +496,21 @@ TEST(ServerService, UserFieldOverridesConnectionIdentityButNotTheKey) {
 TEST(ServerService, DistinctLeadersComputeConcurrently) {
   ServiceOptions options;
   options.jobs = 2;
-  options.computeDelayNanosForTest = 200'000'000;  // 200 ms
   PlanService service(options);
-  std::atomic<bool> aDone{false};
-  std::thread a([&service, &aDone] {
-    (void)service.handle(planLine("3:1", 8, 3));
-    aDone.store(true);
+  // The test holds one permit for as long as B runs, like a computation
+  // that has not finished; B takes the second permit, computes and
+  // returns without waiting for the first to come back.
+  HeldPermits a(service.gate(), 1);
+  std::atomic<bool> bDone{false};
+  std::thread b([&service, &bDone] {
+    (void)service.handle(planLine("1:3", 8, 3));
+    bDone.store(true);
   });
-  const bool aStarted = eventually([&] { return service.planned() == 1; });
-  std::thread b([&service] { (void)service.handle(planLine("1:3", 8, 3)); });
-  // B takes the second permit and starts computing while A still sleeps in
-  // its computation; it does not wait for A to finish.
-  std::uint64_t planned = 0;
-  bool aFinished = false;
-  (void)eventually([&] {
-    planned = service.planned();
-    aFinished = aDone.load();
-    return planned == 2 || aFinished;
-  });
-  a.join();
+  const bool bFinished = eventually([&] { return bDone.load(); });
+  a.release();
   b.join();
-  EXPECT_TRUE(aStarted);
-  EXPECT_EQ(planned, 2u);
-  EXPECT_FALSE(aFinished);
+  EXPECT_TRUE(bFinished);
+  EXPECT_EQ(service.planned(), 1u);
 }
 
 TEST(ServerService, JobsBoundsConcurrentComputations) {
@@ -449,27 +518,23 @@ TEST(ServerService, JobsBoundsConcurrentComputations) {
   obs::Scope scope(session);
   ServiceOptions options;
   options.jobs = 1;
-  options.computeDelayNanosForTest = 200'000'000;  // 200 ms
   PlanService service(options);
-  std::atomic<bool> aDone{false};
-  std::thread a([&service, &aDone] {
-    (void)service.handle(planLine("3:1", 8, 3));
-    aDone.store(true);
-  });
-  const bool aStarted = eventually([&] { return service.planned() == 1; });
-  std::thread b([&service] { (void)service.handle(planLine("1:3", 8, 3)); });
-  // B queues for the one permit, which A holds for its whole computation.
-  const bool bQueued = eventually([&] {
-    return session.metrics.gauge("server.queue.depth").value() >= 1;
-  });
-  const std::uint64_t plannedWhileQueued = service.planned();
-  const bool aFinished = aDone.load();
-  a.join();
-  b.join();
-  EXPECT_TRUE(aStarted);
-  EXPECT_TRUE(bQueued);
-  EXPECT_FALSE(aFinished);
-  EXPECT_EQ(plannedWhileQueued, 1u);
+  std::uint64_t plannedWhileQueued = 0;
+  bool bothQueued = false;
+  {
+    // The test holds the one permit: both leaders queue for it and neither
+    // computes until it comes back.
+    HeldPermits held(service.gate(), 1);
+    std::thread a([&service] { (void)service.handle(planLine("3:1", 8, 3)); });
+    std::thread b([&service] { (void)service.handle(planLine("1:3", 8, 3)); });
+    bothQueued = eventually([&] { return queueDepth(session) >= 2; });
+    plannedWhileQueued = service.planned();
+    held.release();
+    a.join();
+    b.join();
+  }
+  EXPECT_TRUE(bothQueued);
+  EXPECT_EQ(plannedWhileQueued, 0u);
   EXPECT_EQ(service.planned(), 2u);
 }
 
@@ -477,8 +542,9 @@ TEST(ServerService, WfqGrantsALightUserAheadOfAHeavyBacklog) {
   // (user slot, demand) in arrival order; the demand is the cost wfq charges.
   const std::vector<std::pair<unsigned, std::uint64_t>> arrivals = {
       {0, 8}, {0, 9}, {0, 10}, {0, 11}, {0, 12}, {1, 13}};
-  // With one permit, completion order is grant order: the order the policy
-  // itself gives for these arrivals.
+  // The test holds the one permit as the first arrival, so the policy's own
+  // order for these arrivals is the holder's item, then the grant order of
+  // the five requests.
   fleet::WeightedFairPolicy policy;
   policy.setUsers(2);
   policy.setWeights({8.0, 1.0});
@@ -511,39 +577,56 @@ TEST(ServerService, WfqGrantsALightUserAheadOfAHeavyBacklog) {
     options.jobs = 1;
     options.fleetPolicy = "wfq";
     options.fleetWeights = {8.0, 1.0};
-    options.computeDelayNanosForTest = 100'000'000;  // 100 ms
     PlanService service(options);
-    const auto depth = [&session] {
-      return session.metrics.gauge("server.queue.depth").value();
-    };
-    std::mutex mutex;
-    std::vector<unsigned> served;  // user slots in completion order
     std::vector<std::thread> clients;
     bool queued = true;
-    for (std::size_t i = 0; i < arrivals.size(); ++i) {
-      const auto [slot, demand] = arrivals[i];
-      std::string line = planLine("3:1", demand, 3);
-      unsigned connection = 0;
-      if (slot == 1) {
-        connection = light.connection;
-        if (light.userField) line.insert(line.size() - 1, ",\"user\":1");
+    {
+      HeldPermits held(service.gate(), 1, arrivals[0].first,
+                       arrivals[0].second);
+      for (std::size_t i = 1; i < arrivals.size(); ++i) {
+        const auto [slot, demand] = arrivals[i];
+        std::string line = planLine("3:1", demand, 3);
+        unsigned connection = 0;
+        if (slot == 1) {
+          connection = light.connection;
+          if (light.userField) line.insert(line.size() - 1, ",\"user\":1");
+        }
+        clients.emplace_back([&service, slot, line, connection] {
+          // The client's span names its slot; the request's spans, the
+          // computation included, join its trace.
+          obs::Span client("test.client", "test");
+          client.arg("slot", std::to_string(slot));
+          (void)service.handle(line, nullptr, connection);
+        });
+        // Each request queues behind the held permit before the next
+        // arrives, so the light user arrives last.
+        queued = queued && eventually([&] { return queueDepth(session) >= i; });
       }
-      clients.emplace_back([&service, &mutex, &served, slot, line,
-                            connection] {
-        (void)service.handle(line, nullptr, connection);
-        const std::lock_guard<std::mutex> lock(mutex);
-        served.push_back(slot);
-      });
-      // The first request computes; each later one queues behind it before
-      // the next arrives, so the light user arrives last.
-      queued = queued && (i == 0 ? eventually([&] {
-                                     return service.planned() == 1;
-                                   })
-                                 : eventually([&] { return depth() >= i; }));
+      held.release();
+      for (std::thread& client : clients) client.join();
     }
-    for (std::thread& client : clients) client.join();
     ASSERT_TRUE(queued);
-    EXPECT_EQ(served, expected);
+    // One permit runs one computation at a time, so the computations'
+    // start order is the gate's grant order.
+    const std::vector<ParsedSpan> spans = parseSpans(session.trace);
+    std::map<std::uint64_t, unsigned> slotByTrace;
+    std::vector<const ParsedSpan*> computes;
+    for (const ParsedSpan& span : spans) {
+      if (span.name == "test.client") {
+        slotByTrace[span.traceId] =
+            static_cast<unsigned>(std::stoul(span.slot));
+      }
+      if (span.name == "server.compute") computes.push_back(&span);
+    }
+    std::stable_sort(computes.begin(), computes.end(),
+                     [](const ParsedSpan* a, const ParsedSpan* b) {
+                       return a->startMicros < b->startMicros;
+                     });
+    std::vector<unsigned> granted{arrivals[0].first};  // the holder's item
+    for (const ParsedSpan* compute : computes) {
+      granted.push_back(slotByTrace.at(compute->traceId));
+    }
+    EXPECT_EQ(granted, expected);
   }
 }
 
@@ -583,18 +666,22 @@ TEST(PlanCache, ForcedEvictionUnderCoalescingKeepsOneLeaderPerKey) {
   const std::string lineB = planLine("3:1", 8, 3);
   const std::string lineC = planLine("1:2:1", 6, 4);
   for (int iteration = 0; iteration < 15; ++iteration) {
+    obs::Session session;
+    obs::Scope scope(session);
     ServiceOptions options;
     options.cacheSize = 1;  // every distinct put evicts the previous entry
     options.jobs = 4;
-    // Stretch computations so every client of lineA lands inside the
-    // leader's in-flight window while lineB/lineC evict underneath it.
-    options.computeDelayNanosForTest = 10'000'000;  // 10 ms
     PlanService service(options);
     constexpr int kClientsA = 6;
     std::vector<std::string> responsesA(kClientsA);
     std::string responseB;
     std::string responseC;
+    bool settled = false;
     {
+      // Every client of lineA joins the leader's in-flight entry, and the
+      // three leaders wait, before any computation starts; released
+      // together, lineB/lineC evict underneath lineA's publication.
+      HeldPermits held(service.gate(), options.jobs);
       std::vector<std::thread> clients;
       clients.reserve(kClientsA + 2);
       for (int i = 0; i < kClientsA; ++i) {
@@ -606,10 +693,16 @@ TEST(PlanCache, ForcedEvictionUnderCoalescingKeepsOneLeaderPerKey) {
           [&service, &responseB, &lineB] { responseB = service.handle(lineB); });
       clients.emplace_back(
           [&service, &responseC, &lineC] { responseC = service.handle(lineC); });
+      settled = eventually([&] {
+        return service.coalesced() == kClientsA - 1 &&
+               queueDepth(session) >= 3;
+      });
+      held.release();
       for (std::thread& t : clients) t.join();
     }
     // Exactly one computation per distinct request, despite the eviction
     // churn racing the leader's publication.
+    EXPECT_TRUE(settled) << "iteration " << iteration;
     EXPECT_EQ(service.planned(), 3u) << "iteration " << iteration;
     EXPECT_GE(service.cache().stats().evictions, 1u)
         << "capacity-1 cache saw no eviction pressure — the regression "
@@ -751,42 +844,6 @@ TEST(ServerService, CacheTierCountersSplitMemoryAndDisk) {
   EXPECT_EQ(session.metrics.counter("server.cache.miss").value(), 1u);
 }
 
-/// Span identity parsed back out of a recorded trace.
-struct ParsedSpan {
-  std::string name;
-  std::uint64_t traceId = 0;
-  std::uint64_t spanId = 0;
-  std::uint64_t parentSpanId = 0;
-  std::uint64_t leaderTrace = 0;
-  std::uint64_t leaderSpan = 0;
-};
-
-std::vector<ParsedSpan> parseSpans(const obs::TraceRecorder& recorder) {
-  const report::Json trace = report::Json::parse(recorder.toJson().dump(2));
-  std::vector<ParsedSpan> spans;
-  const report::Json& events = trace.at("traceEvents");
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const report::Json& e = events.at(i);
-    if (e.at("ph").asString() != "X" || !e.contains("args")) continue;
-    const report::Json& args = e.at("args");
-    if (!args.contains("span_id")) continue;
-    ParsedSpan span;
-    span.name = e.at("name").asString();
-    span.traceId = args.at("trace_id").asUint();
-    span.spanId = args.at("span_id").asUint();
-    if (args.contains("parent_span_id")) {
-      span.parentSpanId = args.at("parent_span_id").asUint();
-    }
-    if (args.contains("leader_trace")) {
-      span.leaderTrace =
-          std::stoull(args.at("leader_trace").asString());
-      span.leaderSpan = std::stoull(args.at("leader_span").asString());
-    }
-    spans.push_back(span);
-  }
-  return spans;
-}
-
 TEST(ServerService, ColdRequestSpansFormOneTrace) {
   obs::Session session;
   {
@@ -820,19 +877,21 @@ TEST(ServerService, CoalescedFollowersReferenceTheLeaderTrace) {
     obs::Scope scope(session);
     ServiceOptions options;
     options.jobs = 4;
-    options.computeDelayNanosForTest = 50'000'000;  // 50 ms
     PlanService service(options);
     const std::string line = planLine("2:1:1:1:1:1:9", 16, 3);
     constexpr int kClients = 8;
+    HeldPermits held(service.gate(), options.jobs);
     std::vector<std::thread> clients;
     clients.reserve(kClients);
     for (int i = 0; i < kClients; ++i) {
       clients.emplace_back([&service, &line] { (void)service.handle(line); });
     }
+    (void)eventually([&] { return service.coalesced() == kClients - 1; });
+    held.release();
     for (std::thread& t : clients) t.join();
     coalesced = service.coalesced();
   }
-  ASSERT_GE(coalesced, 1u);
+  ASSERT_EQ(coalesced, 7u);
 
   const std::vector<ParsedSpan> spans = parseSpans(session.trace);
   // The leader is the request trace that ran the computation.

@@ -1,6 +1,6 @@
 # ctest helper: the optimized streaming plan (the one plan step that runs
-# in parallel), the injected run, fleet dispatch and multi-target planning
-# must serialize to byte-identical JSON for every --jobs value. Run as
+# in parallel), the injected run and fleet dispatch must serialize to
+# byte-identical JSON for every --jobs value. Run as
 #   cmake -DDMFSTREAM=<path-to-binary> -P check_jobs_identical.cmake
 if(NOT DEFINED DMFSTREAM)
   message(FATAL_ERROR "pass -DDMFSTREAM=<path to dmfstream>")
@@ -67,18 +67,4 @@ if(NOT fleet_plans_clean STREQUAL fleet_plans_killed)
   message(FATAL_ERROR "fleet plans changed under a mid-run chip kill")
 endif()
 
-# Multi-target planning fans the separate per-target baseline runs out over
-# --jobs; the reduction walks the slots in target order. The targets are
-# passed inline: '\;' keeps the ratio separator inside one argument.
-run_cli(multi_jobs1 multi --targets "2:1:1:1:1:1:9\;2:1:1:1:1:9:1"
-        --demands 8,8 --json --jobs 1)
-run_cli(multi_jobs4 multi --targets "2:1:1:1:1:1:9\;2:1:1:1:1:9:1"
-        --demands 8,8 --json --jobs 4)
-if(NOT multi_jobs1 STREQUAL multi_jobs4)
-  message(FATAL_ERROR "multi-target JSON differs between --jobs 1 and --jobs 4")
-endif()
-if(NOT multi_jobs1 MATCHES "\"separate\"")
-  message(FATAL_ERROR "multi-target JSON lacks the separate baseline")
-endif()
-
-message(STATUS "optimized streaming, injected-recovery, fleet and multi-target JSON byte-identical across --jobs (and fleet plans across kill/migrate)")
+message(STATUS "optimized streaming, injected-recovery and fleet JSON byte-identical across --jobs (and fleet plans across kill/migrate)")

@@ -162,7 +162,7 @@ commands:
           [--crash-after-pass N (test hook: hard-exit 86 after pass N
           is journaled, leaving the journal as a kill would)]
   multi   shared multi-target preparation
-          --targets R1;R2;... --demands D1,D2,... [--mixers N] [--jobs N]
+          --targets R1;R2;... --demands D1,D2,... [--mixers N]
           [--json]      (machine-readable shared-vs-separate comparison)
           [--stats]     (planning wall time, shared vs separate split)
   dilute  two-fluid dilution stream        --sample a/2^d --demand D
@@ -250,7 +250,7 @@ const std::map<std::string, std::set<std::string>>& commandOptions() {
         "json", "stats", "inject", "fault-seed", "retry-budget",
         "checkpoint-every", "detect-latency", "journal", "resume",
         "snapshot-every", "crash-after-pass"}},
-      {"multi", {"targets", "demands", "mixers", "jobs", "json", "stats"}},
+      {"multi", {"targets", "demands", "mixers", "json", "stats"}},
       {"dilute",
        {"sample", "demand", "mixers", "algo", "scheme", "gantt", "csv", "json",
         "split-error", "ga-pop", "ga-gens", "ga-seed"}},
@@ -659,8 +659,7 @@ int cmdMulti(const Args& args) {
   }
   const auto planStart = std::chrono::steady_clock::now();
   const engine::MultiTargetResult r = engine::runMultiTarget(
-      targets, engine::Scheme::kSRS, args.number<unsigned>("mixers", 0),
-      args.number<unsigned>("jobs", 1));
+      targets, engine::Scheme::kSRS, args.number<unsigned>("mixers", 0));
   const auto planNanos = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - planStart)
